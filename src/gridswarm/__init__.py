@@ -6,14 +6,13 @@ deformable context grid centered on the swarm centroid, and steers with one
 of two small Q-networks depending on whether another robot is nearby.
 """
 
-from gridswarm.world import ArenaConfig, Robot, Target, ResourceVector
+from gridswarm.world import ArenaConfig, Robot, Target
 from gridswarm.sim import MissionConfig, MissionResult, run_mission
 
 __all__ = [
     "ArenaConfig",
     "Robot",
     "Target",
-    "ResourceVector",
     "MissionConfig",
     "MissionResult",
     "run_mission",

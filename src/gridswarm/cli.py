@@ -1,9 +1,10 @@
 """Experiment runner CLI.
 
 Verbs: train-conflict, train-free, run, sweep, defaults.  Configuration is
-a flat YAML document (print a template with `gridswarm defaults`); all
-randomness flows from a master seed through a splitmix64 stream so every
-output is bit-reproducible.
+a YAML document overriding any subset of the library defaults (print them
+with `gridswarm defaults`; unknown keys are rejected); all randomness flows
+from a master seed through a splitmix64 stream so every output is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from gridswarm import qnet
-from gridswarm.motion import KinematicParams
+from gridswarm.motion import KinematicParams, PIState
 from gridswarm.sim import MissionConfig, Mission
-from gridswarm.world import ArenaConfig, ResourceVector, Target
+from gridswarm.world import ArenaConfig, Target
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -88,54 +89,59 @@ def generate_scenario(spec: DistributionSpec, arena: ArenaConfig, rng) -> list:
     targets = []
     for i, pos in enumerate(positions):
         visits = spec.mrt_visits if i < n_mrt else 1
-        targets.append(Target(id=i, position=pos, requirement=ResourceVector((visits,))))
+        targets.append(Target(id=i, position=pos, required_visits=visits))
     return targets
 
 
-DEFAULT_CONFIG = {
-    "arena": {
-        "width": 90.0,
-        "height": 90.0,
-        "swarm_bound_radius": 45.0,
-        "global_sensor_range": 20.0,
-        "local_sensor_range": 10.0,
-        "neutralize_radius": 1.0,
-    },
-    "robots": 6,
-    "max_time": 300.0,
-    "spawn_box": [0.0, 0.0, 20.0, 20.0],
-    "grid": [7, 7],
-    "kinematics": {"v_max": 15.0, "heading_gain": 1.0, "omega_max": 2.0, "dt": 0.1},
-    "pi": {"kp": 0.2, "ki": 0.003},
-    "targets": {
-        "kind": "uniform",
-        "total": 15,
-        "mrt_fraction": 0.2,
-        "mrt_visits": 2,
-        "cluster_count": None,
-        "cluster_radius": 10.0,
-    },
-    "sweep": {"axis": "robots", "values": [3, 6, 9], "repetitions": 30},
-}
+def _default_config() -> dict:
+    """The YAML tree of the library defaults, plus the sweep block."""
+    m, d = MissionConfig(), DistributionSpec()
+    return {
+        "arena": asdict(m.arena),
+        "robots": m.n_robots,
+        "max_time": m.max_time,
+        "spawn_box": list(m.spawn_box),
+        "grid": [m.grid_rows, m.grid_cols],
+        "kinematics": asdict(m.kinematics),
+        "pi": {"kp": m.pi.kp, "ki": m.pi.ki},
+        "targets": {
+            "kind": d.kind,
+            "total": d.total_targets,
+            "mrt_fraction": d.mrt_fraction,
+            "mrt_visits": d.mrt_visits,
+            "cluster_count": d.cluster_count,
+            "cluster_radius": d.cluster_radius,
+        },
+        "sweep": {"axis": "robots", "values": [3, 6, 9], "repetitions": 30},
+    }
 
+
+DEFAULT_CONFIG = _default_config()
 SWEEP_AXES = ("robots", "mrt_percent", "sensor_radius", "distribution")
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override, where: str = "") -> dict:
+    """`override` laid over `base`; a key that `base` lacks is rejected."""
+    if not isinstance(override, dict):
+        raise ValueError(f"config {where or 'document'} must be a mapping, "
+                         f"not {type(override).__name__}")
     out = dict(base)
-    for k, v in (override or {}).items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
+    for k, v in override.items():
+        key = f"{where}.{k}" if where else str(k)
+        if k not in base:
+            raise ValueError(f"unknown config key {key!r}")
+        out[k] = _merge(base[k], v, key) if isinstance(base[k], dict) else v
     return out
 
 
 def load_config(path) -> dict:
+    """DEFAULT_CONFIG with the YAML file at `path` (if any) laid over it."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
+        return cfg
     with open(path) as f:
-        return _merge(copy.deepcopy(DEFAULT_CONFIG), yaml.safe_load(f) or {})
+        override = yaml.safe_load(f)
+    return cfg if override is None else _merge(cfg, override)
 
 
 def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionConfig:
@@ -143,8 +149,7 @@ def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionCo
         arena=ArenaConfig(**cfg["arena"]),
         n_robots=int(cfg["robots"]),
         kinematics=KinematicParams(**cfg["kinematics"]),
-        pi_kp=cfg["pi"]["kp"],
-        pi_ki=cfg["pi"]["ki"],
+        pi=PIState(**cfg["pi"]),
         grid_rows=int(cfg["grid"][0]),
         grid_cols=int(cfg["grid"][1]),
         max_time=float(cfg["max_time"]),
@@ -161,15 +166,24 @@ def distribution_from(cfg: dict) -> DistributionSpec:
         total_targets=int(t["total"]),
         mrt_fraction=float(t["mrt_fraction"]),
         mrt_visits=int(t["mrt_visits"]),
-        cluster_count=t.get("cluster_count"),
-        cluster_radius=float(t.get("cluster_radius", 10.0)),
+        cluster_count=t["cluster_count"],
+        cluster_radius=float(t["cluster_radius"]),
     )
 
 
-def _load_policy(path) -> qnet.QNetwork:
+_POLICY_INPUTS = {"conflict": qnet.NetworkSpec.conflict().input_dim,
+                  "free": qnet.NetworkSpec.free().input_dim}
+
+
+def _load_policy(path, role: str) -> qnet.QNetwork:
+    """Weights for the `role` ("conflict" or "free") policy, checked at load."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"policy file not found: {path}")
-    return qnet.load_weights(path)
+    net = qnet.load_weights(path)
+    if net.spec.input_dim != _POLICY_INPUTS[role]:
+        raise ValueError(f"{path}: a --policy-{role} net takes {_POLICY_INPUTS[role]} "
+                         f"inputs, this one takes {net.spec.input_dim}")
+    return net
 
 
 def _apply_axis(cfg: dict, axis: str, value):
@@ -202,8 +216,8 @@ _WORKER = {}
 
 
 def _worker_init(conflict_path, free_path):
-    _WORKER["conflict"] = _load_policy(conflict_path)
-    _WORKER["free"] = _load_policy(free_path)
+    _WORKER["conflict"] = _load_policy(conflict_path, "conflict")
+    _WORKER["free"] = _load_policy(free_path, "free")
 
 
 def _worker_run(job):
@@ -332,8 +346,8 @@ def cmd_run(args):
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    conflict_net = _load_policy(args.policy_conflict)
-    free_net = _load_policy(args.policy_free)
+    conflict_net = _load_policy(args.policy_conflict, "conflict")
+    free_net = _load_policy(args.policy_free, "free")
     result = execute_run(cfg, splitmix64(args.seed, 0), conflict_net, free_net,
                          log_trajectory=True)
     write_trajectory(result, out / "trajectory.csv")

@@ -22,12 +22,6 @@ CLAMP_FRACTION = 0.49  # max gap adjustment, as a fraction of base spacing
 
 
 @dataclass
-class NodeIndex:
-    row: int
-    col: int
-
-
-@dataclass
 class ContextGrid:
     rows: int
     cols: int
@@ -88,7 +82,7 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
 
 def node_coords(grid: ContextGrid, node) -> tuple:
     """Global coordinates of a node, prefix-summed from the gap matrices."""
-    r, c = (node.row, node.col) if isinstance(node, NodeIndex) else node
+    r, c = node
     if not grid.in_range((r, c)):
         raise IndexError(f"node {(r, c)} outside {grid.rows}x{grid.cols} grid")
     rc, cc = grid.center
@@ -173,16 +167,14 @@ def bind_snapshot(grid: ContextGrid, self_id: int, self_position,
     return deform(grid, objects)
 
 
-def pick_search_node(grid: ContextGrid, rng, toward=None, rank=None) -> tuple:
+def pick_search_node(grid: ContextGrid, toward, rank: int) -> tuple:
     """Unmasked free node to head for while searching.
 
-    When `toward` is given, free nodes are ordered by distance to that
-    global point and the node at position `rank` (modulo the free count) is
-    returned: robots using their own id as rank march as a group toward the
-    common point while claiming distinct nodes.  Without `toward`, nodes
-    maximizing the min index-distance to bound robots are preferred and ties
-    break uniformly at random from `rng`.  With no free node the robot's own
-    node is returned.
+    Free nodes are ordered by distance to the global point `toward` and the
+    node at position `rank` (modulo the free count) is returned: robots
+    using their own id as rank march as a group toward the common point
+    while claiming distinct nodes.  With no free node the robot's own node
+    is returned.
     """
     free = [
         n for n in grid.iter_nodes() if not grid.mask[n] and n not in grid.bindings
@@ -192,16 +184,10 @@ def pick_search_node(grid: ContextGrid, rng, toward=None, rank=None) -> tuple:
         if not self_nodes:
             raise ValueError("no free node and no self binding")
         return self_nodes[0]
-    if toward is not None:
-        def pull(n):
-            p = grid.uniform_coords(n)
-            return (math.hypot(p[0] - toward[0], p[1] - toward[1]), n)
-        free.sort(key=pull)
-        return free[int(rank) % len(free) if rank is not None else 0]
-    others = [n for n, b in grid.bindings.items() if b[0] == "robot"]
-    if others:
-        def score(n):
-            return min(abs(n[0] - o[0]) + abs(n[1] - o[1]) for o in others)
-        best = max(score(n) for n in free)
-        free = [n for n in free if score(n) == best]
-    return free[int(rng.integers(len(free)))]
+
+    def pull(n):
+        p = grid.uniform_coords(n)
+        return (math.hypot(p[0] - toward[0], p[1] - toward[1]), n)
+
+    free.sort(key=pull)
+    return free[int(rank) % len(free)]

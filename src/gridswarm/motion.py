@@ -94,13 +94,7 @@ def step_kinematics(robot, psi_d: float, speed_cmd: float,
     if arena is not None:
         x = max(0.0, min(arena.width, x))
         y = max(0.0, min(arena.height, y))
-    return replace_robot(robot, position=(x, y), heading=psi, speed=speed_cmd)
-
-
-def replace_robot(robot, **kw):
-    from dataclasses import replace as _replace
-
-    return _replace(robot, **kw)
+    return replace(robot, position=(x, y), heading=psi, speed=speed_cmd)
 
 
 def speed_command(distance: float, params: KinematicParams,

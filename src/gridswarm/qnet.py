@@ -12,12 +12,14 @@ checked against finite differences.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from gridswarm.scenario import (
+    ACTION_DELTAS,
     N_ACTIONS,
     Region,
     action_mask_bounds,
@@ -35,6 +37,12 @@ class NetworkSpec:
     hidden_widths: tuple
     skip_concat: tuple | None = None  # (source layer, destination layer)
     output_dim: int = N_ACTIONS
+
+    def __post_init__(self):
+        n, skip = len(self.hidden_widths), self.skip_concat
+        if n < 1 or (skip is not None and not 1 <= skip[0] < skip[1] <= n):
+            raise ValueError(f"no network has hidden widths {self.hidden_widths} "
+                             f"with skip_concat {skip}")
 
     @classmethod
     def conflict(cls, width: int = 32) -> "NetworkSpec":
@@ -56,6 +64,12 @@ class NetworkSpec:
     def is_linear(self, layer: int) -> bool:
         return self.skip_concat is not None and layer == self.skip_concat[1]
 
+    def weight_shapes(self) -> list:
+        """(out, in+1) of every hidden layer's matrix, then the output's."""
+        shapes = [(width, self.layer_input_width(layer) + 1)
+                  for layer, width in enumerate(self.hidden_widths, start=1)]
+        return shapes + [(self.output_dim, self.hidden_widths[-1] + 1)]
+
 
 class QNetwork:
     """Weights plus forward/backward passes for one NetworkSpec."""
@@ -67,15 +81,9 @@ class QNetwork:
     @classmethod
     def initialize(cls, spec: NetworkSpec, rng) -> "QNetwork":
         weights = []
-        for layer in range(1, len(spec.hidden_widths) + 1):
-            fan_in = spec.layer_input_width(layer)
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(
-                rng.uniform(-bound, bound, size=(spec.hidden_widths[layer - 1], fan_in + 1))
-            )
-        fan_in = spec.hidden_widths[-1]
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(spec.output_dim, fan_in + 1)))
+        for shape in spec.weight_shapes():
+            bound = 1.0 / np.sqrt(shape[1] - 1)  # fan-in, without the bias column
+            weights.append(rng.uniform(-bound, bound, size=shape))
         return cls(spec, weights)
 
     def copy(self) -> "QNetwork":
@@ -209,21 +217,42 @@ def save_weights(net: QNetwork, path):
 
 
 def load_weights(path) -> QNetwork:
+    """Read one net; a malformed file raises ValueError naming the file."""
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a gridswarm weight file")
-        version, has_skip = struct.unpack("<IB", f.read(5))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        skip = struct.unpack("<II", f.read(8)) if has_skip else None
-        input_dim, output_dim, n_hidden = struct.unpack("<III", f.read(12))
-        widths = struct.unpack(f"<{n_hidden}I", f.read(4 * n_hidden))
-        spec = NetworkSpec(input_dim, tuple(widths), skip, output_dim)
-        weights = []
-        for _ in range(n_hidden + 1):
-            rows, cols = struct.unpack("<II", f.read(8))
-            data = np.frombuffer(f.read(8 * rows * cols), dtype="<f8")
-            weights.append(data.reshape(rows, cols).copy())
+        buf = io.BytesIO(f.read())
+    try:
+        return _read_net(buf)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_net(f) -> QNetwork:
+    def read(n: int) -> bytes:
+        data = f.read(n)
+        if len(data) != n:
+            raise ValueError("truncated weight file")
+        return data
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+    if f.read(4) != _MAGIC:
+        raise ValueError("not a gridswarm weight file")
+    version, has_skip = unpack("<IB")
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version}")
+    skip = unpack("<II") if has_skip else None
+    input_dim, output_dim, n_hidden = unpack("<III")
+    spec = NetworkSpec(input_dim, unpack(f"<{n_hidden}I"), skip, output_dim)
+    weights = []
+    for shape in spec.weight_shapes():
+        found = unpack("<II")
+        if found != shape:
+            raise ValueError(f"weight matrix of shape {found}, {spec} needs {shape}")
+        data = np.frombuffer(read(8 * shape[0] * shape[1]), dtype="<f8")
+        weights.append(data.reshape(shape).copy())
+    if f.read(1):
+        raise ValueError("trailing bytes after the last weight matrix")
     return QNetwork(spec, weights)
 
 
@@ -253,6 +282,9 @@ class TrainerConfig:
         for e in (self.eps_start, self.eps_end):
             if not (0.0 <= e <= 1.0):
                 raise ValueError("epsilon must lie in [0, 1]")
+        if not 1 <= self.reward_block <= self.episodes:
+            raise ValueError(f"episodes ({self.episodes}) must cover at least one "
+                             f"reward_block ({self.reward_block})")
 
     def epsilon(self, episode: int) -> float:
         horizon = max(1, int(self.episodes * self.eps_decay_fraction))
@@ -367,8 +399,6 @@ class ConflictGame:
 
     def step(self, actions: dict) -> dict:
         """Advance active agents; returns {agent: (reward, terminal)}."""
-        from gridswarm.scenario import ACTION_DELTAS
-
         old = list(self.pos)
         new = list(self.pos)
         for i, a in actions.items():
@@ -426,8 +456,6 @@ class FreeGame:
         return action_mask_bounds(self.pos, self.size, self.size)
 
     def step(self, action: int):
-        from gridswarm.scenario import ACTION_DELTAS
-
         dr, dc = ACTION_DELTAS[action]
         self.pos = (self.pos[0] + dr, self.pos[1] + dc)
         self.steps += 1

@@ -177,22 +177,18 @@ def encode_conflict_state(region: Region, bindings: dict, self_node,
     return out
 
 
-def action_mask_bounds(node, rows: int, cols: int, region: Region | None = None) -> np.ndarray:
+def action_mask_bounds(node, rows: int, cols: int) -> np.ndarray:
     """Availability mask from geometry alone (training playfields)."""
     mask = np.zeros(N_ACTIONS, dtype=bool)
     for a, (dr, dc) in enumerate(ACTION_DELTAS):
         r, c = node[0] + dr, node[1] + dc
-        if not (0 <= r < rows and 0 <= c < cols):
-            continue
-        if region is not None and not region.contains((r, c)):
-            continue
-        mask[a] = True
+        if 0 <= r < rows and 0 <= c < cols:
+            mask[a] = True
     mask[STAY] = True
     return mask
 
 
-def action_mask_grid(node, grid, masked_nodes=(), robot_obstacles: bool = True,
-                     region: Region | None = None) -> np.ndarray:
+def action_mask_grid(node, grid, masked_nodes=(), robot_obstacles: bool = True) -> np.ndarray:
     """Availability mask on the context grid.
 
     An action is available when the destination node exists, is not masked
@@ -207,8 +203,6 @@ def action_mask_grid(node, grid, masked_nodes=(), robot_obstacles: bool = True,
             if not grid.in_range(dest):
                 continue
             if grid.mask[dest] or dest in masked_nodes:
-                continue
-            if region is not None and not region.contains(dest):
                 continue
             b = grid.bindings.get(dest)
             if robot_obstacles and b is not None and b[0] == "robot":

@@ -35,10 +35,9 @@ class MissionConfig:
     arena: ArenaConfig = ArenaConfig()
     n_robots: int = 6
     kinematics: motion.KinematicParams = motion.KinematicParams()
-    pi_kp: float = 0.2
-    pi_ki: float = 0.003
-    grid_rows: int = 5
-    grid_cols: int = 5
+    pi: motion.PIState = motion.PIState()
+    grid_rows: int = 7
+    grid_cols: int = 7
     max_time: float = 300.0
     seed: int = 0
     spawn_box: tuple = (0.0, 0.0, 20.0, 20.0)
@@ -113,8 +112,7 @@ class Mission:
             for i in range(config.n_robots)
         ]
         self.world = WorldState(robots=robots, targets=copy.deepcopy(targets))
-        self.ctl = {r.id: _RobotCtl(pi=motion.PIState(config.pi_kp, config.pi_ki))
-                    for r in robots}
+        self.ctl = {r.id: _RobotCtl(pi=config.pi) for r in robots}
         self.first_detect: dict = {}
         self.target_times: dict = {}
         self.collisions = 0
@@ -165,8 +163,7 @@ class Mission:
         )
         if remembered:
             det = Detections(det.robot_id, det.visible_targets + remembered,
-                             det.visible_neighbors, det.hale_centroid,
-                             det.distance_to_centroid)
+                             det.visible_neighbors, det.hale_centroid)
         centroid = (
             min(max(det.hale_centroid[0], 0.0), self.arena.width),
             min(max(det.hale_centroid[1], 0.0), self.arena.height),
@@ -196,7 +193,7 @@ class Mission:
             if in_bound[tid] and tid not in ctl.visited
         )
         det_alloc = Detections(det.robot_id, allocable, det.visible_neighbors,
-                               det.hale_centroid, det.distance_to_centroid)
+                               det.hale_centroid)
         cost = alloc_mod.build_cost_matrix(det_alloc, robot.position)
         caps = {
             tid: max(1, targets_by_id[tid].required_visits
@@ -281,8 +278,6 @@ class Mission:
         dr, dc = scenario.ACTION_DELTAS[action]
         dest = (self_node[0] + dr, self_node[1] + dc)
         ctl.waypoint = cg.node_coords(grid, dest)
-        robot.assigned_node = dest
-        robot.assigned_target = assigned
         if action == scenario.STAY:
             ctl.deadline = self.world.time + STAY_DWELL
         else:
@@ -314,9 +309,7 @@ class Mission:
             if tid in self.ctl[robot.id].visited:
                 return self._adjacent_hold(grid, tnode)
             return tnode
-        return cg.pick_search_node(grid, self.rng,
-                                   toward=self.sweep_anchors[self.sweep_idx],
-                                   rank=robot.id)
+        return cg.pick_search_node(grid, self.sweep_anchors[self.sweep_idx], robot.id)
 
     @staticmethod
     def _adjacent_hold(grid, tnode):

@@ -17,7 +17,7 @@ class ArenaConfig:
 
     width: float = 90.0
     height: float = 90.0
-    swarm_bound_radius: float = 30.0
+    swarm_bound_radius: float = 45.0
     global_sensor_range: float = 20.0
     local_sensor_range: float = 10.0
     neutralize_radius: float = 1.0
@@ -37,31 +37,12 @@ class ArenaConfig:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height
 
 
-@dataclass(frozen=True)
-class ResourceVector:
-    """Per-type resource counts; robots carry them, targets require them."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValueError("resource counts must be non-negative")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 @dataclass
 class Robot:
     id: int
     position: tuple
     heading: float = 0.0
     speed: float = 0.0
-    capability: ResourceVector = ResourceVector((1,))
-    assigned_target: int | None = None
-    assigned_node: tuple | None = None
 
 
 @dataclass
@@ -70,15 +51,15 @@ class Target:
 
     id: int
     position: tuple
-    requirement: ResourceVector
+    required_visits: int
     sequence_progress: int = 0
     live: bool = True
     visit_sequence: tuple = ()
     visited_by: set = field(default_factory=set)
 
-    @property
-    def required_visits(self) -> int:
-        return self.requirement.total
+    def __post_init__(self):
+        if self.required_visits < 1:
+            raise ValueError("a target needs at least one visit")
 
     @property
     def kind(self) -> str:
@@ -97,10 +78,9 @@ class Detections:
     """What a single robot can see: targets in r_g, neighbors in r_l, HALE."""
 
     robot_id: int
-    visible_targets: tuple  # (target_id, position, requirement), sorted by id
+    visible_targets: tuple  # (target_id, position, required_visits), sorted by id
     visible_neighbors: tuple  # (robot_id, position), sorted by id
     hale_centroid: tuple
-    distance_to_centroid: float
 
 
 def _dist(a, b) -> float:
@@ -121,7 +101,7 @@ def hale_centroid(robots) -> tuple:
 def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> Detections:
     """Deterministic noise-free sensing snapshot for one robot."""
     targets = tuple(
-        (t.id, t.position, t.requirement)
+        (t.id, t.position, t.required_visits)
         for t in sorted(world.targets, key=lambda t: t.id)
         if t.live and _dist(robot.position, t.position) <= arena.global_sensor_range
     )
@@ -131,13 +111,11 @@ def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> Detections:
         if r.id != robot.id
         and _dist(robot.position, r.position) <= arena.local_sensor_range
     )
-    centroid = hale_centroid(world.robots)
     return Detections(
         robot_id=robot.id,
         visible_targets=targets,
         visible_neighbors=neighbors,
-        hale_centroid=centroid,
-        distance_to_centroid=_dist(robot.position, centroid),
+        hale_centroid=hale_centroid(world.robots),
     )
 
 

@@ -12,18 +12,17 @@ from gridswarm.allocation import (
     build_cost_matrix,
     mrt_sequence,
 )
-from gridswarm.world import Detections, ResourceVector
+from gridswarm.world import Detections
 
 
 def dets(robot_id, self_pos, neighbors, targets):
     return Detections(
         robot_id=robot_id,
         visible_targets=tuple(
-            (tid, pos, ResourceVector((1,))) for tid, pos in sorted(targets)
+            (tid, pos, 1) for tid, pos in sorted(targets)
         ),
         visible_neighbors=tuple(sorted(neighbors)),
         hale_centroid=(0.0, 0.0),
-        distance_to_centroid=0.0,
     ), self_pos
 
 

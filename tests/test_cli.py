@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import yaml
 
 from gridswarm import cli, qnet
+from gridswarm.sim import MissionConfig
 from gridswarm.world import ArenaConfig
 
 
@@ -76,6 +78,23 @@ def test_config_merge_and_defaults(tmp_path):
     assert cfg["arena"]["width"] == 90.0  # untouched default
 
 
+def test_config_rejects_unknown_keys_and_non_mappings(tmp_path):
+    p = tmp_path / "c.yaml"
+    for doc, message in [({"robot": 9}, "unknown config key 'robot'"),
+                         ({"arena": {"widht": 80.0}}, "unknown config key 'arena.widht'"),
+                         ({"arena": 80.0}, "config arena must be a mapping"),
+                         ([6], "config document must be a mapping")]:
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.load_config(p)
+
+
+def test_default_config_is_the_library_defaults():
+    cfg = cli.load_config(None)
+    assert cli.mission_config_from(cfg, seed=0) == MissionConfig()
+    assert cli.distribution_from(cfg) == cli.DistributionSpec()
+
+
 def test_apply_axis():
     cfg = cli.load_config(None)
     assert cli._apply_axis(cfg, "robots", 9)["robots"] == 9
@@ -88,7 +107,7 @@ def test_apply_axis():
 
 def test_missing_policy_file_is_reported(tmp_path):
     with pytest.raises(FileNotFoundError, match="no_such"):
-        cli._load_policy(tmp_path / "no_such.qnet")
+        cli._load_policy(tmp_path / "no_such.qnet", "conflict")
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +167,21 @@ def test_sweep_parallel_matches_serial(tmp_path, policy_files):
     serial = cli.run_sweep(cfg, 7, *policy_files, tmp_path / "ser", jobs=1)
     par = cli.run_sweep(cfg, 7, *policy_files, tmp_path / "par", jobs=2)
     assert serial["rows"] == par["rows"]
+
+
+def test_swapped_policy_files_rejected_at_load(tmp_path, policy_files):
+    conflict, free = policy_files
+    with pytest.raises(ValueError, match=re.escape(f"{free}: a --policy-conflict net "
+                                                   "takes 12 inputs, this one takes 2")):
+        cli.main(["run", "--out", str(tmp_path), "--policy-conflict", free,
+                  "--policy-free", conflict])
+
+
+@pytest.mark.parametrize("verb", ["train-conflict", "train-free"])
+def test_training_budget_below_one_reward_block_rejected(tmp_path, verb):
+    with pytest.raises(ValueError, match="reward_block"):
+        cli.main([verb, "--episodes", "50", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
 
 
 def test_defaults_verb(capsys):

@@ -16,7 +16,7 @@ from gridswarm.context_grid import (
 from gridswarm.world import ArenaConfig, Detections
 
 
-ARENA = ArenaConfig()
+ARENA = ArenaConfig(swarm_bound_radius=30.0)
 
 
 def fresh(centroid=(45.0, 45.0), rows=5, cols=5, d=15.0):
@@ -142,7 +142,6 @@ def test_bind_snapshot_priority_and_filter():
         visible_targets=((4, (50.0, 45.0), None), (6, (40.0, 45.0), None)),
         visible_neighbors=((1, (45.0, 50.0)),),
         hale_centroid=(45.0, 45.0),
-        distance_to_centroid=0.0,
     )
     g = fresh()
     bind_snapshot(g, 2, (45.0, 44.0), det, target_filter=lambda tid, pos: tid != 6)
@@ -152,15 +151,15 @@ def test_bind_snapshot_priority_and_filter():
     assert ("robot", 1) in g.node_of
 
 
-def test_pick_search_node_avoids_robots():
+def test_pick_search_node_ranks_toward_anchor():
     g = fresh()
-    deform(g, [("self", 0, (45.0, 45.0)), ("robot", 1, (44.0, 46.0))])
-    rng = np.random.default_rng(0)
-    node = pick_search_node(g, rng)
-    assert not g.mask[node] and node not in g.bindings
-    # the chosen node maximizes the min index-distance to bound robots
-    others = [n for n, b in g.bindings.items() if b[0] == "robot"]
+    deform(g, [("self", 0, (45.0, 45.0)), ("robot", 1, (60.0, 45.0))])
+    anchor = (80.0, 70.0)
     free = [n for n in g.iter_nodes() if not g.mask[n] and n not in g.bindings]
-    def score(n):
-        return min(abs(n[0] - o[0]) + abs(n[1] - o[1]) for o in others)
-    assert score(node) == max(score(n) for n in free)
+    picks = [pick_search_node(g, anchor, rank) for rank in range(4)]
+    # distinct ranks claim distinct free nodes, nearest to the anchor first
+    assert len(set(picks)) == 4 and all(n in free for n in picks)
+    dists = [math.dist(g.uniform_coords(n), anchor) for n in picks]
+    assert dists == sorted(dists)
+    assert dists[0] == min(math.dist(g.uniform_coords(n), anchor) for n in free)
+    assert pick_search_node(g, anchor, len(free)) == picks[0]  # rank wraps

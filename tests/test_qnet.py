@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +183,29 @@ class TestPersistence:
         p = tmp_path / "junk.qnet"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            load_weights(p)
+
+    @pytest.mark.parametrize("cut", [10, 40, -5, -8])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        p = tmp_path / "w.qnet"
+        save_weights(make(NetworkSpec.free(), seed=1), p)
+        p.write_bytes(p.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: truncated"):
+            load_weights(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "w.qnet"
+        save_weights(make(NetworkSpec.free(), seed=1), p)
+        p.write_bytes(p.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_weights(p)
+
+    def test_matrix_shape_must_match_spec(self, tmp_path):
+        net = make(NetworkSpec.free(), seed=1)
+        net.weights[0] = net.weights[0][:, :-1]  # drop the bias column
+        p = tmp_path / "w.qnet"
+        save_weights(net, p)
+        with pytest.raises(ValueError, match=r"shape \(16, 2\).*needs \(16, 3\)"):
             load_weights(p)
 
 

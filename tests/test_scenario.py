@@ -18,7 +18,7 @@ from gridswarm.scenario import (
 )
 from gridswarm.world import ArenaConfig
 
-ARENA = ArenaConfig()
+ARENA = ArenaConfig(swarm_bound_radius=30.0)
 
 
 def grid_with(objects, centroid=(45.0, 45.0)):
@@ -133,12 +133,6 @@ def test_conflict_state_peer_without_goal():
                               own_target=(0, 0), robot_goals={})
     # peer triple contributes nothing without a known goal
     assert s.tolist() == [0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
-
-
-def test_action_mask_bounds_with_region():
-    # top-left node of a 2x2 region: only right, down, stay remain
-    mask = action_mask_bounds((1, 0), 4, 4, region=Region(0, 0, 2))
-    assert mask.tolist() == [False, False, True, True, True]
 
 
 def test_action_mask_bounds_corner():

@@ -3,7 +3,7 @@ import pytest
 
 from gridswarm.qnet import NetworkSpec, QNetwork
 from gridswarm.sim import Mission, MissionConfig, run_mission
-from gridswarm.world import ArenaConfig, ResourceVector, Target
+from gridswarm.world import ArenaConfig, Target
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ def nets():
 
 def targets_at(*specs):
     return [
-        Target(i, pos, ResourceVector((visits,)))
+        Target(i, pos, visits)
         for i, (pos, visits) in enumerate(specs)
     ]
 
@@ -35,9 +35,10 @@ def test_config_validation(nets):
 
 
 def test_grid_spacing():
-    cfg = MissionConfig()
+    arena = ArenaConfig(swarm_bound_radius=30.0)
+    cfg = MissionConfig(arena=arena, grid_rows=5, grid_cols=5)
     assert cfg.grid_spacing == pytest.approx(15.0)
-    cfg = MissionConfig(grid_rows=7, grid_cols=5)
+    cfg = MissionConfig(arena=arena, grid_rows=7, grid_cols=5)
     assert cfg.grid_spacing == pytest.approx(10.0)
 
 

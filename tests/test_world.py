@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from gridswarm.world import (
     ArenaConfig,
     Detections,
-    ResourceVector,
     Robot,
     Target,
     WorldState,
@@ -30,17 +29,13 @@ def test_arena_validation():
     assert not arena.contains((90.1, 10))
 
 
-def test_resource_vector():
-    with pytest.raises(ValueError):
-        ResourceVector((-1,))
-    assert ResourceVector((2, 1)).total == 3
-
-
 def test_target_kind():
-    srt = Target(0, (1, 1), ResourceVector((1,)))
-    mrt = Target(1, (2, 2), ResourceVector((2,)))
+    srt = Target(0, (1, 1), 1)
+    mrt = Target(1, (2, 2), 2)
     assert srt.kind == "SRT" and srt.required_visits == 1
     assert mrt.kind == "MRT" and mrt.required_visits == 2
+    with pytest.raises(ValueError):
+        Target(2, (3, 3), 0)
 
 
 @given(
@@ -64,9 +59,9 @@ def test_sense_ranges_and_ordering():
     arena = ArenaConfig()
     robots = [make_robot(0, (45, 45)), make_robot(1, (50, 45)), make_robot(2, (80, 45))]
     targets = [
-        Target(5, (60, 45), ResourceVector((1,))),  # 15 m: inside r_g
-        Target(3, (45, 50), ResourceVector((1,))),  # 5 m
-        Target(7, (45, 80), ResourceVector((1,))),  # 35 m: outside
+        Target(5, (60, 45), 1),  # 15 m: inside r_g
+        Target(3, (45, 50), 1),  # 5 m
+        Target(7, (45, 80), 1),  # 35 m: outside
     ]
     det = sense(robots[0], WorldState(robots, targets), arena)
     assert [t[0] for t in det.visible_targets] == [3, 5]  # ascending id
@@ -78,20 +73,20 @@ def test_sense_ranges_and_ordering():
 def test_sense_skips_dead_targets():
     arena = ArenaConfig()
     robots = [make_robot(0, (45, 45))]
-    t = Target(0, (46, 45), ResourceVector((1,)), live=False)
+    t = Target(0, (46, 45), 1, live=False)
     det = sense(robots[0], WorldState(robots, [t]), arena)
     assert det.visible_targets == ()
 
 
 def test_neutralize_single_visit():
-    t = Target(0, (1, 1), ResourceVector((1,)))
+    t = Target(0, (1, 1), 1)
     assert try_neutralize(3, t)
     assert not t.live
     assert not try_neutralize(4, t)  # already dead
 
 
 def test_neutralize_sequence_order():
-    t = Target(0, (1, 1), ResourceVector((2,)), visit_sequence=(2, 5))
+    t = Target(0, (1, 1), 2, visit_sequence=(2, 5))
     assert not try_neutralize(5, t)  # out of order
     assert try_neutralize(2, t)
     assert t.live and t.sequence_progress == 1
@@ -101,7 +96,7 @@ def test_neutralize_sequence_order():
 
 
 def test_neutralize_multivisit_distinct_robots():
-    t = Target(0, (1, 1), ResourceVector((3,)))
+    t = Target(0, (1, 1), 3)
     # uncommitted slots accept any new robot and commit it on the spot
     assert try_neutralize(0, t)
     assert t.live and t.sequence_progress == 1 and t.visit_sequence == (0,)
@@ -113,7 +108,7 @@ def test_neutralize_multivisit_distinct_robots():
 
 
 def test_neutralize_committed_slot_binds_robot():
-    t = Target(0, (1, 1), ResourceVector((2,)), visit_sequence=(3, 4))
+    t = Target(0, (1, 1), 2, visit_sequence=(3, 4))
     # only the committed robot for the next slot may advance the sequence
     assert not try_neutralize(4, t)
     assert try_neutralize(3, t)
