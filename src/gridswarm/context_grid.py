@@ -30,6 +30,7 @@ class ContextGrid:
     d_x: np.ndarray  # (rows, cols-1) column gaps
     d_y: np.ndarray  # (rows-1, cols) row gaps
     mask: np.ndarray  # (rows, cols) bool, True = unusable
+    uniform: dict  # (row, col) -> undeformed (x, y), row-major
     bindings: dict = field(default_factory=dict)  # (row, col) -> (kind, id)
     node_of: dict = field(default_factory=dict)  # (kind, id) -> (row, col)
     clamped: list = field(default_factory=list)  # objects bound off-position
@@ -43,11 +44,8 @@ class ContextGrid:
         return 0 <= r < self.rows and 0 <= c < self.cols
 
     def uniform_coords(self, node) -> tuple:
-        """Node position of the undeformed grid (used for masking/search)."""
-        r, c = node
-        rc, cc = self.center
-        d = self.base_spacing
-        return (self.centroid[0] + (c - cc) * d, self.centroid[1] + (r - rc) * d)
+        """Node position of the undeformed grid, as `build_grid` stored it."""
+        return self.uniform[tuple(node)]
 
     def iter_nodes(self):
         for r in range(self.rows):
@@ -63,21 +61,30 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
         raise ValueError("base spacing must be positive")
     if not arena.contains(centroid):
         raise ValueError("centroid outside the arena")
-    grid = ContextGrid(
+    cx, cy = float(centroid[0]), float(centroid[1])
+    xs = [cx + (c - cols // 2) * d for c in range(cols)]
+    ys = [cy + (r - rows // 2) * d for r in range(rows)]
+    # the centroid is inside the arena, so these test one axis each
+    x_in = [arena.contains((x, cy)) for x in xs]
+    bound = arena.swarm_bound_radius + 1e-9
+    uniform, mask = {}, []
+    for r, y in enumerate(ys):
+        y_in = arena.contains((cx, y))
+        row = []
+        for c, x in enumerate(xs):
+            uniform[(r, c)] = (x, y)
+            row.append(not (x_in[c] and y_in) or math.hypot(x - cx, y - cy) > bound)
+        mask.append(row)
+    return ContextGrid(
         rows=rows,
         cols=cols,
         base_spacing=d,
-        centroid=(float(centroid[0]), float(centroid[1])),
+        centroid=(cx, cy),
         d_x=np.full((rows, cols - 1), float(d)),
         d_y=np.full((rows - 1, cols), float(d)),
-        mask=np.zeros((rows, cols), dtype=bool),
+        mask=np.array(mask, dtype=bool),
+        uniform=uniform,
     )
-    for node in grid.iter_nodes():
-        p = grid.uniform_coords(node)
-        off = math.hypot(p[0] - centroid[0], p[1] - centroid[1])
-        if not arena.contains(p) or off > arena.swarm_bound_radius + 1e-9:
-            grid.mask[node] = True
-    return grid
 
 
 def node_coords(grid: ContextGrid, node) -> tuple:
@@ -89,9 +96,14 @@ def node_coords(grid: ContextGrid, node) -> tuple:
     d = grid.base_spacing
     x0 = grid.centroid[0] - cc * d
     y0 = grid.centroid[1] - rc * d
-    x = x0 + float(np.sum(grid.d_x[r, :c]))
-    y = y0 + float(np.sum(grid.d_y[:r, c]))
-    return (x, y)
+    # summed left to right: bit-identical to np.sum below eight gaps (grids
+    # up to 8x8); np.sum adds longer runs in eight interleaved partial sums
+    x = y = 0.0
+    for g in grid.d_x[r, :c].tolist():
+        x += g
+    for g in grid.d_y[:r, c].tolist():
+        y += g
+    return (x0 + x, y0 + y)
 
 
 def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
@@ -122,6 +134,13 @@ def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
     return exact
 
 
+def _free_nodes(grid: ContextGrid) -> list:
+    """(node, x, y) of every unmasked, unbound node, in row-major order."""
+    masked = grid.mask.tolist()
+    return [(n, x, y) for n, (x, y) in grid.uniform.items()
+            if not masked[n[0]][n[1]] and n not in grid.bindings]
+
+
 def deform(grid: ContextGrid, objects) -> ContextGrid:
     """Bind every object to its nearest free node and pull the node onto it.
 
@@ -131,22 +150,16 @@ def deform(grid: ContextGrid, objects) -> ContextGrid:
     offset exceeds the clamp limit are bound without landing exactly and
     recorded in `grid.clamped`.
     """
-    uniform = {n: grid.uniform_coords(n) for n in grid.iter_nodes()}
+    free = _free_nodes(grid)
     for kind, obj_id, pos in objects:
         if (kind, obj_id) in grid.node_of:
             raise ValueError(f"object {(kind, obj_id)} already bound")
-        candidates = sorted(
-            (n for n in grid.iter_nodes() if not grid.mask[n] and n not in grid.bindings),
-            key=lambda n: (
-                math.hypot(pos[0] - uniform[n][0], pos[1] - uniform[n][1]),
-                n,
-            ),
-        )
-        if not candidates:
+        if not free:
             grid.clamped.append((kind, obj_id))
             continue
-        node = candidates[0]
-        ux, uy = uniform[node]
+        best = min(free, key=lambda e: (math.hypot(pos[0] - e[1], pos[1] - e[2]), e[0]))
+        free.remove(best)
+        node, ux, uy = best
         exact = _apply_offset(grid, node, pos[0] - ux, pos[1] - uy)
         grid.bindings[node] = (kind, obj_id)
         grid.node_of[(kind, obj_id)] = node
@@ -176,18 +189,11 @@ def pick_search_node(grid: ContextGrid, toward, rank: int) -> tuple:
     while claiming distinct nodes.  With no free node the robot's own node
     is returned.
     """
-    free = [
-        n for n in grid.iter_nodes() if not grid.mask[n] and n not in grid.bindings
-    ]
+    free = _free_nodes(grid)
     if not free:
         self_nodes = [n for n, b in grid.bindings.items() if b[0] == "self"]
         if not self_nodes:
             raise ValueError("no free node and no self binding")
         return self_nodes[0]
-
-    def pull(n):
-        p = grid.uniform_coords(n)
-        return (math.hypot(p[0] - toward[0], p[1] - toward[1]), n)
-
-    free.sort(key=pull)
-    return free[int(rank) % len(free)]
+    free.sort(key=lambda e: (math.hypot(e[1] - toward[0], e[2] - toward[1]), e[0]))
+    return free[int(rank) % len(free)][0]

@@ -8,7 +8,9 @@ are exposed so either loop can be disabled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from gridswarm.world import Robot
 
 _EPS = 1e-12
 
@@ -40,7 +42,7 @@ class PIState:
     integral_error: float = 0.0
 
     def reset(self) -> "PIState":
-        return replace(self, integral_error=0.0)
+        return PIState(self.kp, self.ki, 0.0)
 
 
 def desired_heading(position, waypoint) -> float:
@@ -62,7 +64,7 @@ def pi_heading_command(psi: float, psi_d: float, pi: PIState, dt: float,
     integral = max(-limit, min(limit, integral))
     cmd = pi.kp * e + pi.ki * integral
     cmd = max(-omega_max, min(omega_max, cmd))
-    return cmd, replace(pi, integral_error=integral)
+    return cmd, PIState(pi.kp, pi.ki, integral)
 
 
 def corrected_setpoint(psi: float, psi_d: float, cmd: float) -> float:
@@ -94,7 +96,7 @@ def step_kinematics(robot, psi_d: float, speed_cmd: float,
     if arena is not None:
         x = max(0.0, min(arena.width, x))
         y = max(0.0, min(arena.height, y))
-    return replace(robot, position=(x, y), heading=psi, speed=speed_cmd)
+    return Robot(robot.id, (x, y), psi, speed_cmd)
 
 
 def speed_command(distance: float, params: KinematicParams,

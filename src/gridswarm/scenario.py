@@ -80,11 +80,11 @@ def region_toward(self_node, probe_node, size: int, rows: int, cols: int) -> Reg
             center = (r0 + (size - 1) / 2.0, c0 + (size - 1) / 2.0)
             d = math.hypot(pr - center[0], pc - center[1])
             key = (d, r0, c0)
-            if best is None or key < best[0]:
-                best = (key, Region(r0, c0, size))
+            if best is None or key < best:
+                best = key
     if best is None:
         raise ValueError("grid too small for the requested region")
-    return best[1]
+    return Region(best[1], best[2], size)
 
 
 def _foreign_robot_nodes(grid, region: Region):

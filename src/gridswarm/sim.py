@@ -6,12 +6,20 @@ over its own view, rebuilds and deforms its context grid, runs the
 scenario identifier and asks the matching Q-network (greedy) for the next
 grid node.  Motion integrates every dt; neutralizations and collisions are
 committed once per step in ascending robot id order.
+
+Robots exchange no messages, but decisions read live state, not a frozen
+snapshot: a robot that its allocation places in a multi-visit target's
+visit order appends itself to `Target.visit_sequence` at once, so robots
+deciding after it in the same step see the commitment.  That sequence is a
+target-side blackboard; `step` drops its uncommitted tail after
+SEQUENCE_TIMEOUT seconds without progress.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +56,17 @@ class MissionConfig:
             raise ValueError("need at least one robot")
         if self.max_time <= 0:
             raise ValueError("max_time must be positive")
+        for name in ("grid_rows", "grid_cols"):
+            if getattr(self, name) < 3:  # the scenario probe is a 3x3 block
+                raise ValueError(f"{name} must be at least 3")
+        box = self.spawn_box
+        if len(box) != 4 or not all(isinstance(v, numbers.Real) for v in box):
+            raise ValueError(f"spawn_box must be 4 numbers (x0, y0, w, h), not {box!r}")
+        x0, y0, w, h = box
+        if w < 0 or h < 0:
+            raise ValueError("spawn_box width and height must be non-negative")
+        if not (self.arena.contains((x0, y0)) and self.arena.contains((x0 + w, y0 + h))):
+            raise ValueError("spawn_box outside the arena")
 
     @property
     def grid_spacing(self) -> float:
@@ -96,8 +115,6 @@ class Mission:
             if not config.arena.contains(t.position):
                 raise ValueError(f"target {t.id} outside the arena")
         x0, y0, w, h = config.spawn_box
-        if not (config.arena.contains((x0, y0)) and config.arena.contains((x0 + w, y0 + h))):
-            raise ValueError("spawn box outside the arena")
         self.config = config
         self.arena = config.arena
         self.rng = np.random.default_rng(config.seed)
@@ -112,6 +129,7 @@ class Mission:
             for i in range(config.n_robots)
         ]
         self.world = WorldState(robots=robots, targets=copy.deepcopy(targets))
+        self.targets_by_id = {t.id: t for t in self.world.targets}
         self.ctl = {r.id: _RobotCtl(pi=config.pi) for r in robots}
         self.first_detect: dict = {}
         self.target_times: dict = {}
@@ -168,7 +186,7 @@ class Mission:
             min(max(det.hale_centroid[0], 0.0), self.arena.width),
             min(max(det.hale_centroid[1], 0.0), self.arena.height),
         )
-        targets_by_id = {t.id: t for t in self.world.targets}
+        targets_by_id = self.targets_by_id
         grid = cg.build_grid(centroid, cfg.grid_rows, cfg.grid_cols,
                              cfg.grid_spacing, self.arena)
         # a live multi-visit target stays bound even after this robot's own
@@ -228,7 +246,7 @@ class Mission:
                 self._seq_stamp[tid] = self.world.time
 
         self_node = grid.node_of[("self", robot.id)]
-        tnode = self._goal_node(robot, grid, assigned, targets_by_id, det, in_bound)
+        tnode = self._goal_node(robot, grid, assigned, det, in_bound)
 
         robot_goals = {}
         for rid, tid in alloc.assigned.items():
@@ -285,11 +303,11 @@ class Mission:
             ctl.deadline = self.world.time + max(leg, 1.0)
         ctl.pi = ctl.pi.reset()
 
-    def _goal_node(self, robot, grid, assigned, targets_by_id, det, in_bound):
+    def _goal_node(self, robot, grid, assigned, det, in_bound):
         """Grid node the robot is ultimately trying to occupy."""
         if assigned is not None and ("target", assigned) in grid.node_of:
             tnode = grid.node_of[("target", assigned)]
-            tgt = targets_by_id[assigned]
+            tgt = self.targets_by_id[assigned]
             seq = tgt.visit_sequence
             if tgt.required_visits > 1 and seq and \
                     tgt.sequence_progress < len(seq) and \
@@ -388,9 +406,11 @@ class Mission:
             else:
                 robot.speed = 0.0
 
+        # a target can die within this loop, so `tgt.live` is tested again
+        live = [t for t in self.world.targets if t.live]
         for robot in self.world.robots:
             ctl = self.ctl[robot.id]
-            for tgt in self.world.targets:
+            for tgt in live:
                 if tgt.live and self._dist(robot.position, tgt.position) \
                         <= self.arena.neutralize_radius:
                     if world_mod.try_neutralize(robot.id, tgt):
@@ -413,17 +433,16 @@ class Mission:
         self.world.time += dt
 
     def _count_collisions(self):
-        robots = self.world.robots
-        for i in range(len(robots)):
-            for j in range(i + 1, len(robots)):
-                d = self._dist(robots[i].position, robots[j].position)
-                pair = (robots[i].id, robots[j].id)
+        pts = [(r.id, r.position[0], r.position[1]) for r in self.world.robots]
+        for i, (a, xa, ya) in enumerate(pts):
+            for b, xb, yb in pts[i + 1:]:
+                d = math.hypot(xa - xb, ya - yb)
                 if d <= COLLISION_RADIUS:
-                    if pair not in self._colliding_pairs:
-                        self._colliding_pairs.add(pair)
+                    if (a, b) not in self._colliding_pairs:
+                        self._colliding_pairs.add((a, b))
                         self.collisions += 1
-                elif d > 2.0 * COLLISION_RADIUS:
-                    self._colliding_pairs.discard(pair)
+                elif d > 2.0 * COLLISION_RADIUS and self._colliding_pairs:
+                    self._colliding_pairs.discard((a, b))
 
     @staticmethod
     def _dist(a, b) -> float:

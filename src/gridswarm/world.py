@@ -1,8 +1,10 @@
 """Arena, robots, targets and sensing.
 
-All state here is plain data; mutation happens only through the small
-helpers at the bottom (`try_neutralize`), which the mission engine calls
-in a single-writer commit phase.
+All state here is plain data.  Visits mutate it only through
+`try_neutralize`, which the mission engine calls in a single-writer commit
+phase.  The exception is `Target.visit_sequence`, a target-side blackboard:
+the engine appends a robot's own id to it mid-decision and truncates its
+uncommitted tail on a timeout (see `gridswarm.sim`).
 """
 
 from __future__ import annotations
@@ -68,9 +70,15 @@ class Target:
 
 @dataclass
 class WorldState:
+    """Robots and targets, each kept in ascending id order."""
+
     robots: list
     targets: list
     time: float = 0.0
+
+    def __post_init__(self):
+        self.robots = sorted(self.robots, key=lambda r: r.id)
+        self.targets = sorted(self.targets, key=lambda t: t.id)
 
 
 @dataclass(frozen=True)
@@ -102,12 +110,12 @@ def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> Detections:
     """Deterministic noise-free sensing snapshot for one robot."""
     targets = tuple(
         (t.id, t.position, t.required_visits)
-        for t in sorted(world.targets, key=lambda t: t.id)
+        for t in world.targets
         if t.live and _dist(robot.position, t.position) <= arena.global_sensor_range
     )
     neighbors = tuple(
         (r.id, r.position)
-        for r in sorted(world.robots, key=lambda r: r.id)
+        for r in world.robots
         if r.id != robot.id
         and _dist(robot.position, r.position) <= arena.local_sensor_range
     )

@@ -95,6 +95,23 @@ def test_default_config_is_the_library_defaults():
     assert cli.distribution_from(cfg) == cli.DistributionSpec()
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("grid", [1, 1], "grid_rows"),
+    ("grid", [2, 7], "grid_rows"),
+    ("grid", [7, 2], "grid_cols"),
+    ("spawn_box", [0.0, 0.0], "spawn_box"),
+    ("spawn_box", [0.0, 0.0, 20.0, "20"], "spawn_box"),
+    ("spawn_box", [10.0, 10.0, -5.0, 20.0], "spawn_box"),
+    ("spawn_box", [10.0, 10.0, 20.0, -5.0], "spawn_box"),
+    ("spawn_box", [80.0, 80.0, 20.0, 20.0], "spawn_box"),
+])
+def test_bad_mission_geometry_rejected_at_config_time(key, value, field):
+    cfg = cli.load_config(None)
+    cfg[key] = value
+    with pytest.raises(ValueError, match=field):
+        cli.mission_config_from(cfg, seed=0)
+
+
 def test_apply_axis():
     cfg = cli.load_config(None)
     assert cli._apply_axis(cfg, "robots", 9)["robots"] == 9

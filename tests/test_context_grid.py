@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gridswarm.context_grid import (
     CLAMP_FRACTION,
     ContextGrid,
+    _apply_offset,
     bind_snapshot,
     build_grid,
     deform,
@@ -163,3 +164,103 @@ def test_pick_search_node_ranks_toward_anchor():
     assert dists == sorted(dists)
     assert dists[0] == min(math.dist(g.uniform_coords(n), anchor) for n in free)
     assert pick_search_node(g, anchor, len(free)) == picks[0]  # rank wraps
+
+
+# -- the grid code against a reference: the per-node loop and full sort ------
+
+def reference_uniform(g, node):
+    r, c = node
+    rc, cc = g.center
+    d = g.base_spacing
+    return (g.centroid[0] + (c - cc) * d, g.centroid[1] + (r - rc) * d)
+
+
+def reference_mask(centroid, rows, cols, d, arena):
+    g = build_grid(centroid, rows, cols, d, arena)
+    mask = np.zeros((rows, cols), dtype=bool)
+    for node in g.iter_nodes():
+        p = reference_uniform(g, node)
+        off = math.hypot(p[0] - centroid[0], p[1] - centroid[1])
+        if not arena.contains(p) or off > arena.swarm_bound_radius + 1e-9:
+            mask[node] = True
+    return mask
+
+
+def reference_deform(g, objects):
+    """Each object takes the first node of a full sort of the free nodes."""
+    for kind, obj_id, pos in objects:
+        candidates = sorted(
+            (n for n in g.iter_nodes() if not g.mask[n] and n not in g.bindings),
+            key=lambda n: (math.hypot(pos[0] - reference_uniform(g, n)[0],
+                                      pos[1] - reference_uniform(g, n)[1]), n),
+        )
+        if not candidates:
+            g.clamped.append((kind, obj_id))
+            continue
+        node = candidates[0]
+        ux, uy = reference_uniform(g, node)
+        exact = _apply_offset(g, node, pos[0] - ux, pos[1] - uy)
+        g.bindings[node] = (kind, obj_id)
+        g.node_of[(kind, obj_id)] = node
+        if not exact:
+            g.clamped.append((kind, obj_id))
+
+
+def metres(lo, hi):
+    """Whole metres too, so nodes land exactly on the bound and ties occur."""
+    return st.one_of(st.integers(int(lo), int(hi)).map(float), st.floats(lo, hi))
+
+
+# anywhere in or near the 90 m arena, so some objects lie outside the bound
+anywhere = st.tuples(metres(-20.0, 110.0), metres(-20.0, 110.0))
+
+
+@st.composite
+def grids_and_objects(draw, max_side=10):
+    centroid = (draw(metres(0.0, 90.0)), draw(metres(0.0, 90.0)))
+    rows, cols = draw(st.integers(2, max_side)), draw(st.integers(2, max_side))
+    d = draw(st.one_of(st.sampled_from([7.5, 10.0, 15.0]), st.floats(1.0, 30.0)))
+    points = draw(st.lists(anywhere, min_size=1, max_size=6))
+    # indices into `points` may repeat: objects stacked on one point
+    picks = draw(st.lists(st.integers(0, len(points) - 1), max_size=12))
+    kinds = ("self", "target", "robot")
+    objects = [(kinds[i % 3], i, points[p]) for i, p in enumerate(picks)]
+    return centroid, rows, cols, d, objects
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_objects())
+def test_build_grid_matches_reference(case):
+    centroid, rows, cols, d, _ = case
+    g = build_grid(centroid, rows, cols, d, ARENA)
+    assert np.array_equal(g.mask, reference_mask(centroid, rows, cols, d, ARENA))
+    assert list(g.uniform) == list(g.iter_nodes())
+    for node in g.iter_nodes():
+        assert g.uniform[node] == reference_uniform(g, node)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_objects())
+def test_deform_matches_full_sort_reference(case):
+    centroid, rows, cols, d, objects = case
+    got = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
+    want = build_grid(centroid, rows, cols, d, ARENA)
+    reference_deform(want, objects)
+    assert got.bindings == want.bindings
+    assert got.node_of == want.node_of
+    assert got.clamped == want.clamped
+    assert got.d_x.tobytes() == want.d_x.tobytes()
+    assert got.d_y.tobytes() == want.d_y.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_objects(max_side=8))
+def test_node_coords_matches_np_sum(case):
+    """Bit-identical to np.sum while a row or column has under eight gaps."""
+    centroid, rows, cols, d, objects = case
+    g = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
+    rc, cc = g.center
+    for r, c in g.iter_nodes():
+        x = g.centroid[0] - cc * d + float(np.sum(g.d_x[r, :c]))
+        y = g.centroid[1] - rc * d + float(np.sum(g.d_y[:r, c]))
+        assert node_coords(g, (r, c)) == (x, y)
