@@ -54,8 +54,12 @@ class DistributionSpec:
             raise ValueError("total_targets must be >= 0")
         if not (0.0 <= self.mrt_fraction <= 1.0):
             raise ValueError("mrt_fraction must lie in [0, 1]")
+        if self.mrt_visits < 1:
+            raise ValueError("mrt_visits must be >= 1")
         if self.cluster_count is not None and not (1 <= self.cluster_count <= 5):
             raise ValueError("cluster_count must lie in [1, 5]")
+        if self.cluster_radius < 0:
+            raise ValueError("cluster_radius must be >= 0")
 
 
 def generate_scenario(spec: DistributionSpec, arena: ArenaConfig, rng) -> list:
@@ -234,6 +238,9 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
     reps = int(cfg["sweep"]["repetitions"])
     if not values:
         raise ValueError("sweep axis values must be non-empty")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"sweep value {repeated[0]!r} is listed more than once")
     if reps < 1:
         raise ValueError("repetitions must be >= 1")
     job_list = []
@@ -351,9 +358,9 @@ def cmd_run(args):
     result = execute_run(cfg, splitmix64(args.seed, 0), conflict_net, free_net,
                          log_trajectory=True)
     write_trajectory(result, out / "trajectory.csv")
-    with open(out / "summary.json", "w") as f:
-        json.dump(result.summary(), f, indent=2, sort_keys=True)
-    print(json.dumps(result.summary(), indent=2, sort_keys=True))
+    summary = json.dumps(result.summary(), indent=2, sort_keys=True)
+    (out / "summary.json").write_text(summary)
+    print(summary)
 
 
 def cmd_sweep(args):
@@ -376,35 +383,31 @@ def main(argv=None) -> int:
         description="Decentralized search-and-neutralize experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    train = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    train.add_argument("--out", default="policies")
+    train.add_argument("--episodes", type=int, default=None)
+    mission = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    mission.add_argument("--config", default=None)
+    mission.add_argument("--out", default="out")
+    mission.add_argument("--policy-conflict", required=True)
+    mission.add_argument("--policy-free", required=True)
 
-    p = sub.add_parser("train-conflict", help="self-play train the conflict net")
-    p.add_argument("--out", default="policies")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--episodes", type=int, default=None)
+    p = sub.add_parser("train-conflict", parents=[train],
+                       help="self-play train the conflict net")
     p.add_argument("--agents", type=int, default=2, choices=(2, 3, 4),
                    help="train incrementally up to this many agents")
     p.set_defaults(func=cmd_train_conflict)
 
-    p = sub.add_parser("train-free", help="train the conflict-free net")
-    p.add_argument("--out", default="policies")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--episodes", type=int, default=None)
+    p = sub.add_parser("train-free", parents=[train], help="train the conflict-free net")
     p.set_defaults(func=cmd_train_free)
 
-    p = sub.add_parser("run", help="run one mission and dump its trajectory")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.add_argument("--policy-conflict", required=True)
-    p.add_argument("--policy-free", required=True)
+    p = sub.add_parser("run", parents=[mission],
+                       help="run one mission and dump its trajectory")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="Monte Carlo sweep over one axis")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.add_argument("--policy-conflict", required=True)
-    p.add_argument("--policy-free", required=True)
+    p = sub.add_parser("sweep", parents=[mission], help="Monte Carlo sweep over one axis")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 

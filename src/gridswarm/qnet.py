@@ -12,9 +12,10 @@ checked against finite differences.
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -470,40 +471,64 @@ class FreeGame:
         return r, terminal
 
 
-class _SGDTrainer:
-    """Shared replay + target-network machinery for both games."""
+def _train(net: QNetwork, config: TrainerConfig, rng, game, play):
+    """DQN with replay and a target net; returns (net, mean reward per block).
 
-    def __init__(self, net: QNetwork, config: TrainerConfig, rng):
-        self.net = net
-        self.target = net.copy()
-        self.config = config
-        self.rng = rng
-        self.buffer = ReplayBuffer(config.replay_capacity)
-        self.updates = 0
-        self.lr = config.learning_rate
+    `play(game, act, learn)` runs each reset episode to the end, choosing
+    through `act(state, avail)` and passing `learn` every transition.
+    """
+    target = net.copy()
+    buffer = ReplayBuffer(config.replay_capacity)
+    updates = 0
 
-    def act(self, state, avail, eps: float) -> int:
-        return act_epsilon_greedy(self.net, state, avail, eps, self.rng)
-
-    def observe(self, transition):
-        self.buffer.push(transition)
-        if len(self.buffer) < self.config.batch_size:
+    def learn(transition):
+        nonlocal updates
+        buffer.push(transition)
+        if len(buffer) < config.batch_size:
             return
-        batch = self.buffer.sample(self.config.batch_size, self.rng)
-        _loss, grads = td_loss(self.net, self.target, batch, self.config.gamma)
-        for w, g in zip(self.net.weights, grads):
-            w -= self.lr * g
-        self.updates += 1
-        if self.updates % self.config.target_sync_period == 0:
-            sync_target(self.net, self.target)
+        batch = buffer.sample(config.batch_size, rng)
+        _loss, grads = td_loss(net, target, batch, config.gamma)
+        for w, g in zip(net.weights, grads):
+            w -= lr * g
+        updates += 1
+        if updates % config.target_sync_period == 0:
+            sync_target(net, target)
+
+    rewards = []
+    for episode in range(config.episodes):
+        eps = config.epsilon(episode)
+        lr = config.lr(episode)
+        game.reset(rng)
+        play(game, lambda s, avail: act_epsilon_greedy(net, s, avail, eps, rng), learn)
+        # one total per agent in a conflict game, a single one in a free game
+        rewards.append(float(np.mean(game.reward_total)))
+    block = config.reward_block
+    return net, [(i // block, float(np.mean(rewards[i: i + block])))
+                 for i in range(0, len(rewards) - block + 1, block)]
 
 
-def _block_log(rewards: list, block: int) -> list:
-    """Mean episode reward per consecutive block."""
-    return [
-        (i // block, float(np.mean(rewards[i: i + block])))
-        for i in range(0, len(rewards) - block + 1, block)
-    ]
+def _conflict_episode(game: ConflictGame, act, learn, max_steps: int):
+    """Play a reset conflict game out: every active agent acts, in id order,
+    then all move at once; `learn` (None when evaluating) gets each mover's
+    transition."""
+    while not game.finished and game.steps < max_steps:
+        active = [i for i in range(game.n_agents) if not game.done[i]]
+        states = {i: game.encode(i) for i in active}
+        actions = {i: act(states[i], game.action_mask(i)) for i in active}
+        outcome = game.step(actions)
+        if learn is not None:
+            for i in active:
+                r, terminal = outcome[i]
+                learn((states[i], actions[i], r, game.encode(i), terminal,
+                       game.action_mask(i)))
+
+
+def _free_episode(game: FreeGame, act, learn):
+    while not game.finished:
+        s, avail = game.encode(), game.action_mask()
+        a = act(s, avail)
+        r, terminal = game.step(a)
+        learn((s, a, r, game.encode(), terminal, game.action_mask()))
 
 
 def train_conflict_selfplay(config: TrainerConfig, n_agents: int = 2, seed: int = 0,
@@ -514,54 +539,20 @@ def train_conflict_selfplay(config: TrainerConfig, n_agents: int = 2, seed: int 
     jointly trains it.  For n_agents > 2 pass the policy trained on one
     fewer agent as `base_net`.
     """
+    if base_net is None and n_agents > 2:
+        raise ValueError("training with >2 agents needs the previous policy")
     rng = np.random.default_rng(seed)
-    if base_net is not None:
-        net = base_net.copy()
-    else:
-        if n_agents > 2:
-            raise ValueError("training with >2 agents needs the previous policy")
-        net = QNetwork.initialize(NetworkSpec.conflict(), rng)
-    trainer = _SGDTrainer(net, config, rng)
-    game = ConflictGame(n_agents=n_agents)
-    episode_rewards = []
-    for episode in range(config.episodes):
-        eps = config.epsilon(episode)
-        trainer.lr = config.lr(episode)
-        game.reset(rng)
-        while not game.finished and game.steps < config.max_steps:
-            active = [i for i in range(n_agents) if not game.done[i]]
-            states = {i: game.encode(i) for i in active}
-            masks = {i: game.action_mask(i) for i in active}
-            actions = {i: trainer.act(states[i], masks[i], eps) for i in active}
-            outcome = game.step(actions)
-            for i in active:
-                r, terminal = outcome[i]
-                s2 = game.encode(i)
-                avail2 = game.action_mask(i)
-                trainer.observe((states[i], actions[i], r, s2, terminal, avail2))
-        episode_rewards.append(float(np.mean(game.reward_total)))
-    return trainer.net, _block_log(episode_rewards, config.reward_block)
+    net = (QNetwork.initialize(NetworkSpec.conflict(), rng) if base_net is None
+           else base_net.copy())
+    return _train(net, config, rng, ConflictGame(n_agents=n_agents),
+                  functools.partial(_conflict_episode, max_steps=config.max_steps))
 
 
 def train_free(config: TrainerConfig, seed: int = 0):
     """Train the conflict-free net on the 3x3 goal-seeking gridworld."""
     rng = np.random.default_rng(seed)
     net = QNetwork.initialize(NetworkSpec.free(), rng)
-    trainer = _SGDTrainer(net, config, rng)
-    game = FreeGame(max_steps=config.max_steps)
-    episode_rewards = []
-    for episode in range(config.episodes):
-        eps = config.epsilon(episode)
-        trainer.lr = config.lr(episode)
-        game.reset(rng)
-        while not game.finished:
-            s = game.encode()
-            avail = game.action_mask()
-            a = trainer.act(s, avail, eps)
-            r, terminal = game.step(a)
-            trainer.observe((s, a, r, game.encode(), terminal, game.action_mask()))
-        episode_rewards.append(game.reward_total)
-    return trainer.net, _block_log(episode_rewards, config.reward_block)
+    return _train(net, config, rng, FreeGame(max_steps=config.max_steps), _free_episode)
 
 
 def evaluate_conflict_policy(net: QNetwork, n_cases: int = 10_000, seed: int = 1,
@@ -569,18 +560,14 @@ def evaluate_conflict_policy(net: QNetwork, n_cases: int = 10_000, seed: int = 1
     """Collision-avoidance rate of the greedy policy over random conflicts."""
     rng = np.random.default_rng(seed)
     game = ConflictGame(n_agents=n_agents)
+    def greedy(state, avail):
+        return act_epsilon_greedy(net, state, avail, 0.0, rng)
+
     collisions = 0
     for _ in range(n_cases):
         game.reset(rng)
-        while not game.finished and game.steps < max_steps:
-            active = [i for i in range(n_agents) if not game.done[i]]
-            actions = {
-                i: act_epsilon_greedy(net, game.encode(i), game.action_mask(i), 0.0, rng)
-                for i in active
-            }
-            game.step(actions)
-        if game.collided:
-            collisions += 1
+        _conflict_episode(game, greedy, None, max_steps)
+        collisions += game.collided
     return 1.0 - collisions / n_cases
 
 

@@ -256,20 +256,18 @@ class Mission:
         label = scenario.classify(grid, self_node, tnode)
         ctl.label = label.label
         if tnode == self_node:
-            net, state = None, None
-            action = scenario.STAY
-        elif label.label == scenario.CONFLICT:
-            net = self.conflict_net
-            state = scenario.encode_conflict_state(
-                label.conflict_region, grid.bindings, self_node, tnode, robot_goals
-            )
-            avail = scenario.action_mask_grid(self_node, grid, label.masked_nodes)
-            action = act_epsilon_greedy(net, state, avail, 0.0, self.rng)
+            net, action = None, scenario.STAY
         else:
-            net = self.free_net
-            state = scenario.encode_free_state(
-                cg.node_coords(grid, self_node), cg.node_coords(grid, tnode)
-            )
+            if label.label == scenario.CONFLICT:
+                net = self.conflict_net
+                state = scenario.encode_conflict_state(
+                    label.conflict_region, grid.bindings, self_node, tnode, robot_goals
+                )
+            else:
+                net = self.free_net
+                state = scenario.encode_free_state(
+                    cg.node_coords(grid, self_node), cg.node_coords(grid, tnode)
+                )
             avail = scenario.action_mask_grid(self_node, grid, label.masked_nodes)
             action = act_epsilon_greedy(net, state, avail, 0.0, self.rng)
 

@@ -28,6 +28,10 @@ def test_distribution_spec_validation():
         cli.DistributionSpec(mrt_fraction=1.5)
     with pytest.raises(ValueError):
         cli.DistributionSpec(cluster_count=9)
+    with pytest.raises(ValueError, match="mrt_visits"):
+        cli.DistributionSpec(mrt_visits=0)
+    with pytest.raises(ValueError, match="cluster_radius"):
+        cli.DistributionSpec(cluster_radius=-1.0)
 
 
 def test_generate_uniform_scenario():
@@ -177,6 +181,14 @@ def test_sweep_outputs_and_reproducibility(tmp_path, policy_files):
     summary = json.loads((out1 / "summary.json").read_text())
     assert [row["axis_value"] for row in summary["rows"]] == [2, 3]
     assert all(row["runs"] == 2 for row in summary["rows"])
+
+
+def test_sweep_rejects_repeated_values(tmp_path, policy_files):
+    cfg = small_cfg()
+    cfg["sweep"] = {"axis": "robots", "values": [2, 3, 2], "repetitions": 1}
+    with pytest.raises(ValueError, match="sweep value 2 is listed more than once"):
+        cli.run_sweep(cfg, 0, *policy_files, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_parallel_matches_serial(tmp_path, policy_files):

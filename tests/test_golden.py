@@ -1,4 +1,4 @@
-"""Golden byte-identity fixture for seeded runs, sweeps and training.
+"""Golden byte-identity fixture for seeded runs, sweeps, training and evaluation.
 
 Each digest is the SHA-256 of an output file produced from fixed seeds and
 seeded, untrained policies.  A refactor that claims unchanged behaviour
@@ -26,6 +26,19 @@ RUN_DIGESTS = {
 TRAIN_DIGESTS = {
     "free.qnet": "c25d39da87d0f36566030afc1f42f9ae1bdeaded8a04b35b734a87a674cfe2fa",
     "conflict.qnet": "663e957c77a445020cfbe4267defc347b03e65ab35e47a37e3024a572795029a",
+}
+
+# `train-conflict --agents 3` and `train-free`, 100 episodes each, seed 4
+TRAIN_VERB_DIGESTS = {
+    "conflict.qnet": "ccce4dd74dbef875bcf4cc6ad2f83aea900fa3dd4a9ac39b1cb00115588cbf14",
+    "conflict_2agents.qnet": "6dfc6509f5d3b5ab407fbe53522d175e036ae9337dd62589dfaabd83c63e3925",
+    "conflict_2agents_rewards.csv":
+        "0b7d264cec0f7414a324476a47d2b360ce6daf7bfd24f62fed595a9037da9edc",
+    "conflict_3agents.qnet": "ccce4dd74dbef875bcf4cc6ad2f83aea900fa3dd4a9ac39b1cb00115588cbf14",
+    "conflict_3agents_rewards.csv":
+        "0504f78e296cbc8d2416c1a71d2e7bc5fd153c9a3e4e2ffc5868efbac5ebfa25",
+    "free.qnet": "3de08dc1d697f7b0adad473a03e050ea986b80c7a3b23ec5f145a831da0c71a3",
+    "free_rewards.csv": "9fb932ba2c82f0d887dc33ee1112a17238ab6300bc2f5ca21334e23368d19bf4",
 }
 
 
@@ -73,3 +86,24 @@ def test_training_digests(tmp_path):
                                                    seed=cli.splitmix64(0, 2))
     qnet.save_weights(conflict_net, tmp_path / "conflict.qnet")
     assert {name: sha256(tmp_path / name) for name in TRAIN_DIGESTS} == TRAIN_DIGESTS
+
+
+def test_train_verb_digests(tmp_path):
+    cli.main(["train-conflict", "--agents", "3", "--episodes", "100", "--seed", "4",
+              "--out", str(tmp_path)])
+    cli.main(["train-free", "--episodes", "100", "--seed", "4", "--out", str(tmp_path)])
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == TRAIN_VERB_DIGESTS
+    # the 3-agent net is the one the verb ships as conflict.qnet
+    assert (tmp_path / "conflict.qnet").read_bytes() == \
+        (tmp_path / "conflict_3agents.qnet").read_bytes()
+    for name in ("conflict_2agents", "conflict_3agents", "free"):
+        lines = (tmp_path / f"{name}_rewards.csv").read_text().splitlines()
+        assert lines[0] == "episode_block,mean_reward"
+        assert len(lines) == 2  # one 100-episode block
+
+
+@pytest.mark.parametrize("n_agents, rate", [(2, 0.5733333333333333),
+                                            (3, 0.30000000000000004)])
+def test_evaluation_values(n_agents, rate):
+    net = qnet.QNetwork.initialize(qnet.NetworkSpec.conflict(), np.random.default_rng(0))
+    assert qnet.evaluate_conflict_policy(net, n_cases=300, seed=1, n_agents=n_agents) == rate
