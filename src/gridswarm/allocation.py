@@ -13,11 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-# Tie perturbation: small enough never to flip a real cost difference in
-# meters, large enough to make equal-cost optima resolve reproducibly
-# toward low (robot, target) index pairs.
-_TIE_EPS = 1e-9
-
 
 @dataclass
 class CostMatrix:
@@ -59,29 +54,23 @@ def build_cost_matrix(detections, self_position) -> CostMatrix:
 def allocate(cost: CostMatrix, capacities: dict) -> Allocation:
     """Min-cost assignment with each target duplicated `capacity` times.
 
-    Solves the rectangular assignment exactly (Hungarian via scipy); every
-    robot gets at most one target and every target at most its capacity.
-    Robots stay unassigned when there are more robots than visit slots.
+    Solves the rectangular assignment exactly on the raw distances with
+    scipy's modified Jonker-Volgenant solver; every robot gets at most one
+    target and every target at most its capacity.  Robots stay unassigned
+    when there are more robots than visit slots.  Equal-cost optima follow
+    scipy's rule, which is fixed for a given matrix, so robots that share a
+    view still agree: `[[5, 5], [5, 5], [1, 1]]` over targets 10 and 11
+    gives `{1: 11, 2: 10}`.
     """
-    n = len(cost.robot_ids)
-    slots = []  # column index -> target id
-    cols = []
-    for j, tid in enumerate(cost.target_ids):
-        cap = int(capacities.get(tid, 1))
+    caps = [int(capacities.get(tid, 1)) for tid in cost.target_ids]
+    for tid, cap in zip(cost.target_ids, caps):
         if cap < 1:
             raise ValueError(f"capacity for target {tid} must be >= 1")
-        for _ in range(cap):
-            slots.append(tid)
-            cols.append(cost.entries[:, j])
+    slots = np.repeat(np.arange(len(caps)), caps)  # slot column -> target column
+    rows, chosen = linear_sum_assignment(cost.entries[:, slots])
     alloc = Allocation()
-    if n == 0 or not slots:
-        return alloc
-    mat = np.column_stack(cols)
-    # deterministic tie-break toward low (robot, target) index pairs
-    idx = np.arange(n)[:, None] * (len(slots) + 1) + np.arange(len(slots))[None, :]
-    rows, chosen = linear_sum_assignment(mat + _TIE_EPS * idx)
     for i, j in zip(rows, chosen):
-        alloc.assigned[cost.robot_ids[i]] = slots[j]
+        alloc.assigned[cost.robot_ids[i]] = cost.target_ids[slots[j]]
     return alloc
 
 

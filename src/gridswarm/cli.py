@@ -148,14 +148,24 @@ def load_config(path) -> dict:
     return cfg if override is None else _merge(cfg, override)
 
 
+def _count(value, key: str) -> int:
+    """`value` if it is an int (not a bool), else a ValueError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config {key} must be an integer, not {value!r}")
+    return value
+
+
 def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionConfig:
+    grid = cfg["grid"]
+    if not isinstance(grid, list) or len(grid) != 2:
+        raise ValueError(f"config grid must be a list [rows, cols], not {grid!r}")
     return MissionConfig(
         arena=ArenaConfig(**cfg["arena"]),
-        n_robots=int(cfg["robots"]),
+        n_robots=_count(cfg["robots"], "robots"),
         kinematics=KinematicParams(**cfg["kinematics"]),
         pi=PIState(**cfg["pi"]),
-        grid_rows=int(cfg["grid"][0]),
-        grid_cols=int(cfg["grid"][1]),
+        grid_rows=_count(grid[0], "grid[0]"),
+        grid_cols=_count(grid[1], "grid[1]"),
         max_time=float(cfg["max_time"]),
         seed=seed,
         spawn_box=tuple(cfg["spawn_box"]),
@@ -167,10 +177,11 @@ def distribution_from(cfg: dict) -> DistributionSpec:
     t = cfg["targets"]
     return DistributionSpec(
         kind=t["kind"],
-        total_targets=int(t["total"]),
+        total_targets=_count(t["total"], "targets.total"),
         mrt_fraction=float(t["mrt_fraction"]),
-        mrt_visits=int(t["mrt_visits"]),
-        cluster_count=t["cluster_count"],
+        mrt_visits=_count(t["mrt_visits"], "targets.mrt_visits"),
+        cluster_count=(None if t["cluster_count"] is None
+                       else _count(t["cluster_count"], "targets.cluster_count")),
         cluster_radius=float(t["cluster_radius"]),
     )
 
@@ -193,7 +204,7 @@ def _load_policy(path, role: str) -> qnet.QNetwork:
 def _apply_axis(cfg: dict, axis: str, value):
     cfg = json.loads(json.dumps(cfg))  # deep copy
     if axis == "robots":
-        cfg["robots"] = int(value)
+        cfg["robots"] = _count(value, "sweep.values")
     elif axis == "mrt_percent":
         cfg["targets"]["mrt_fraction"] = float(value) / 100.0
     elif axis == "sensor_radius":
@@ -235,9 +246,9 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
               out_dir: Path, jobs: int = 1) -> dict:
     axis = cfg["sweep"]["axis"]
     values = cfg["sweep"]["values"]
-    reps = int(cfg["sweep"]["repetitions"])
-    if not values:
-        raise ValueError("sweep axis values must be non-empty")
+    reps = _count(cfg["sweep"]["repetitions"], "sweep.repetitions")
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"config sweep.values must be a non-empty list, not {values!r}")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ValueError(f"sweep value {repeated[0]!r} is listed more than once")
@@ -310,7 +321,7 @@ CONFLICT_TRAIN_DEFAULTS = {
     "eps_end": 0.005,
     "lr_end_scale": 0.001,
 }
-FREE_TRAIN_DEFAULTS = {"episodes": 20_000, "max_steps": 20}
+FREE_TRAIN_DEFAULTS = {"episodes": 20_000}
 
 
 def _trainer_config(args, defaults: dict) -> qnet.TrainerConfig:

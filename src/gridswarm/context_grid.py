@@ -43,15 +43,6 @@ class ContextGrid:
         r, c = node
         return 0 <= r < self.rows and 0 <= c < self.cols
 
-    def uniform_coords(self, node) -> tuple:
-        """Node position of the undeformed grid, as `build_grid` stored it."""
-        return self.uniform[tuple(node)]
-
-    def iter_nodes(self):
-        for r in range(self.rows):
-            for c in range(self.cols):
-                yield (r, c)
-
 
 def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
     """Uniform grid around the centroid with boundary / swarm-bound masking."""

@@ -12,7 +12,6 @@ checked against finite differences.
 
 from __future__ import annotations
 
-import functools
 import io
 import struct
 from dataclasses import dataclass
@@ -46,12 +45,12 @@ class NetworkSpec:
                              f"with skip_concat {skip}")
 
     @classmethod
-    def conflict(cls, width: int = 32) -> "NetworkSpec":
-        return cls(12, (width,) * 5, skip_concat=(1, 4))
+    def conflict(cls) -> "NetworkSpec":
+        return cls(12, (32,) * 5, skip_concat=(1, 4))
 
     @classmethod
-    def free(cls, width: int = 16) -> "NetworkSpec":
-        return cls(2, (width,) * 2)
+    def free(cls) -> "NetworkSpec":
+        return cls(2, (16,) * 2)
 
     def layer_input_width(self, layer: int) -> int:
         """Width of the input feeding hidden layer `layer` (1-based)."""
@@ -260,29 +259,25 @@ def _read_net(f) -> QNetwork:
 # ---------------------------------------------------------------------------
 # replay and training
 
+# DQN settings shared by both nets; epsilon decays from 1.0.
+GAMMA = 0.9
+TARGET_SYNC_PERIOD = 100  # SGD updates between target-net copies
+REPLAY_CAPACITY = 10_000
+BATCH_SIZE = 32
+
+
 @dataclass
 class TrainerConfig:
-    gamma: float = 0.9
-    target_sync_period: int = 100
     learning_rate: float = 1e-3
-    replay_capacity: int = 10_000
-    batch_size: int = 32
     episodes: int = 20_000
-    max_steps: int = 12
-    eps_start: float = 1.0
     eps_end: float = 0.05
     eps_decay_fraction: float = 0.5  # fraction of episodes over which eps decays
     lr_end_scale: float = 0.1  # final learning-rate multiplier (linear decay)
     reward_block: int = 100  # episodes per logged average
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.target_sync_period < 1:
-            raise ValueError("target_sync_period must be >= 1")
-        for e in (self.eps_start, self.eps_end):
-            if not (0.0 <= e <= 1.0):
-                raise ValueError("epsilon must lie in [0, 1]")
+        if not (0.0 <= self.eps_end <= 1.0):
+            raise ValueError("eps_end must lie in [0, 1]")
         if not 1 <= self.reward_block <= self.episodes:
             raise ValueError(f"episodes ({self.episodes}) must cover at least one "
                              f"reward_block ({self.reward_block})")
@@ -290,7 +285,7 @@ class TrainerConfig:
     def epsilon(self, episode: int) -> float:
         horizon = max(1, int(self.episodes * self.eps_decay_fraction))
         frac = min(1.0, episode / horizon)
-        return self.eps_start + frac * (self.eps_end - self.eps_start)
+        return 1.0 + frac * (self.eps_end - 1.0)
 
     def lr(self, episode: int) -> float:
         # Full rate while epsilon is still decaying, then anneal linearly so
@@ -332,7 +327,7 @@ class ReplayBuffer:
 
 
 class ConflictGame:
-    """Self-play conflict episodes on a small playfield.
+    """Self-play conflict episodes on a 4x4 playfield.
 
     Agents spawn on distinct nodes of a shared 2x2 block and must reach
     distinct goal nodes inside that block.  All agents move at once; two
@@ -341,22 +336,24 @@ class ConflictGame:
     task is resolved), matching the state encoding, in which a robot with
     zero goal displacement is indistinguishable from an empty node.
     Rewards: -0.1 per step, +1 on reaching the goal (0.9 for a one-step
-    resolution), -1 for a collision.
+    resolution), -1 for a collision.  An episode ends after at most
+    MAX_STEPS moves, in training and in evaluation alike.
     """
 
+    SIZE = 4
+    MAX_STEPS = 12
     STEP_PENALTY = -0.1
     GOAL_REWARD = 1.0
     COLLISION_REWARD = -1.0
 
-    def __init__(self, n_agents: int = 2, size: int = 4):
+    def __init__(self, n_agents: int = 2):
         if not 2 <= n_agents <= 4:
             raise ValueError("conflict games support 2 to 4 agents")
         self.n_agents = n_agents
-        self.size = size
 
     def reset(self, rng):
-        r0 = int(rng.integers(self.size - 1))
-        c0 = int(rng.integers(self.size - 1))
+        r0 = int(rng.integers(self.SIZE - 1))
+        c0 = int(rng.integers(self.SIZE - 1))
         block = [(r0 + dr, c0 + dc) for dr in (0, 1) for dc in (0, 1)]
         spawn_idx = rng.permutation(4)[: self.n_agents]
         goal_idx = rng.permutation(4)[: self.n_agents]
@@ -369,7 +366,7 @@ class ConflictGame:
 
     @property
     def finished(self) -> bool:
-        return self.collided or all(self.done)
+        return self.collided or all(self.done) or self.steps >= self.MAX_STEPS
 
     def encode(self, i: int) -> np.ndarray:
         """12-vector for agent i: 2x2 region placed toward its nearest peer.
@@ -384,8 +381,8 @@ class ConflictGame:
             orr, oc = self.pos[j]
         else:
             orr, oc = r, c
-        r0 = min(max(r - 1 if orr < r else r, 0), self.size - 2)
-        c0 = min(max(c - 1 if oc < c else c, 0), self.size - 2)
+        r0 = min(max(r - 1 if orr < r else r, 0), self.SIZE - 2)
+        c0 = min(max(c - 1 if oc < c else c, 0), self.SIZE - 2)
         region = Region(r0, c0, 2)
         bindings = {
             self.pos[k]: ("robot", k)
@@ -396,7 +393,7 @@ class ConflictGame:
         return encode_conflict_state(region, bindings, self.pos[i], self.goal[i], goals)
 
     def action_mask(self, i: int) -> np.ndarray:
-        return action_mask_bounds(self.pos[i], self.size, self.size)
+        return action_mask_bounds(self.pos[i], self.SIZE, self.SIZE)
 
     def step(self, actions: dict) -> dict:
         """Advance active agents; returns {agent: (reward, terminal)}."""
@@ -433,16 +430,14 @@ class ConflictGame:
 class FreeGame:
     """Single-agent goal-seeking on a 3x3 grid with displacement-sign states."""
 
+    SIZE = 3
+    MAX_STEPS = 20
     STEP_PENALTY = -0.1
     GOAL_REWARD = 1.0
 
-    def __init__(self, size: int = 3, max_steps: int = 20):
-        self.size = size
-        self.max_steps = max_steps
-
     def reset(self, rng):
-        self.pos = (int(rng.integers(self.size)), int(rng.integers(self.size)))
-        self.goal = (int(rng.integers(self.size)), int(rng.integers(self.size)))
+        self.pos = (int(rng.integers(self.SIZE)), int(rng.integers(self.SIZE)))
+        self.goal = (int(rng.integers(self.SIZE)), int(rng.integers(self.SIZE)))
         self.steps = 0
         self.reward_total = self.GOAL_REWARD if self.pos == self.goal else 0.0
         self.finished = self.pos == self.goal
@@ -454,7 +449,7 @@ class FreeGame:
         )
 
     def action_mask(self) -> np.ndarray:
-        return action_mask_bounds(self.pos, self.size, self.size)
+        return action_mask_bounds(self.pos, self.SIZE, self.SIZE)
 
     def step(self, action: int):
         dr, dc = ACTION_DELTAS[action]
@@ -465,7 +460,7 @@ class FreeGame:
             self.finished = True
         else:
             r, terminal = self.STEP_PENALTY, False
-            if self.steps >= self.max_steps:
+            if self.steps >= self.MAX_STEPS:
                 self.finished = True
         self.reward_total += r
         return r, terminal
@@ -478,20 +473,20 @@ def _train(net: QNetwork, config: TrainerConfig, rng, game, play):
     through `act(state, avail)` and passing `learn` every transition.
     """
     target = net.copy()
-    buffer = ReplayBuffer(config.replay_capacity)
+    buffer = ReplayBuffer(REPLAY_CAPACITY)
     updates = 0
 
     def learn(transition):
         nonlocal updates
         buffer.push(transition)
-        if len(buffer) < config.batch_size:
+        if len(buffer) < BATCH_SIZE:
             return
-        batch = buffer.sample(config.batch_size, rng)
-        _loss, grads = td_loss(net, target, batch, config.gamma)
+        batch = buffer.sample(BATCH_SIZE, rng)
+        _loss, grads = td_loss(net, target, batch, GAMMA)
         for w, g in zip(net.weights, grads):
             w -= lr * g
         updates += 1
-        if updates % config.target_sync_period == 0:
+        if updates % TARGET_SYNC_PERIOD == 0:
             sync_target(net, target)
 
     rewards = []
@@ -507,11 +502,11 @@ def _train(net: QNetwork, config: TrainerConfig, rng, game, play):
                  for i in range(0, len(rewards) - block + 1, block)]
 
 
-def _conflict_episode(game: ConflictGame, act, learn, max_steps: int):
+def _conflict_episode(game: ConflictGame, act, learn):
     """Play a reset conflict game out: every active agent acts, in id order,
     then all move at once; `learn` (None when evaluating) gets each mover's
     transition."""
-    while not game.finished and game.steps < max_steps:
+    while not game.finished:
         active = [i for i in range(game.n_agents) if not game.done[i]]
         states = {i: game.encode(i) for i in active}
         actions = {i: act(states[i], game.action_mask(i)) for i in active}
@@ -544,19 +539,18 @@ def train_conflict_selfplay(config: TrainerConfig, n_agents: int = 2, seed: int 
     rng = np.random.default_rng(seed)
     net = (QNetwork.initialize(NetworkSpec.conflict(), rng) if base_net is None
            else base_net.copy())
-    return _train(net, config, rng, ConflictGame(n_agents=n_agents),
-                  functools.partial(_conflict_episode, max_steps=config.max_steps))
+    return _train(net, config, rng, ConflictGame(n_agents=n_agents), _conflict_episode)
 
 
 def train_free(config: TrainerConfig, seed: int = 0):
     """Train the conflict-free net on the 3x3 goal-seeking gridworld."""
     rng = np.random.default_rng(seed)
     net = QNetwork.initialize(NetworkSpec.free(), rng)
-    return _train(net, config, rng, FreeGame(max_steps=config.max_steps), _free_episode)
+    return _train(net, config, rng, FreeGame(), _free_episode)
 
 
 def evaluate_conflict_policy(net: QNetwork, n_cases: int = 10_000, seed: int = 1,
-                             n_agents: int = 2, max_steps: int = 12) -> float:
+                             n_agents: int = 2) -> float:
     """Collision-avoidance rate of the greedy policy over random conflicts."""
     rng = np.random.default_rng(seed)
     game = ConflictGame(n_agents=n_agents)
@@ -566,7 +560,7 @@ def evaluate_conflict_policy(net: QNetwork, n_cases: int = 10_000, seed: int = 1
     collisions = 0
     for _ in range(n_cases):
         game.reset(rng)
-        _conflict_episode(game, greedy, None, max_steps)
+        _conflict_episode(game, greedy, None)
         collisions += game.collided
     return 1.0 - collisions / n_cases
 

@@ -62,7 +62,6 @@ class ScenarioLabel:
     label: str
     masked_nodes: set = field(default_factory=set)
     conflict_region: Region | None = None
-    conflict_robot: int | None = None
 
 
 def region_toward(self_node, probe_node, size: int, rows: int, cols: int) -> Region:
@@ -135,9 +134,8 @@ def classify(grid, self_node, target_node) -> ScenarioLabel:
 
     for rnode, rid in ordered:
         reg2 = region_toward(self_node, rnode, 2, rows, cols)
-        inside = _foreign_robot_nodes(grid, reg2)
-        if inside:
-            return ScenarioLabel(CONFLICT, masked, reg2, inside[0][1])
+        if _foreign_robot_nodes(grid, reg2):
+            return ScenarioLabel(CONFLICT, masked, reg2)
         masked.add(rnode)
     return ScenarioLabel(CONFLICT_FREE, masked)
 

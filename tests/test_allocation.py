@@ -79,6 +79,15 @@ def test_allocate_deterministic_ties():
     assert a.assigned == b.assigned == {0: 10, 1: 11}
 
 
+def test_allocate_on_raw_costs():
+    # a cost gap of 1e-9 m is a real difference, not a tie
+    cm = CostMatrix(np.array([[1e-9, 0.0]]), (0,), (10, 11))
+    assert allocate(cm, {}).assigned == {0: 11}
+    # exact ties follow the solver's fixed rule
+    cm = CostMatrix(np.array([[5.0, 5.0], [5.0, 5.0], [1.0, 1.0]]), (0, 1, 2), (10, 11))
+    assert allocate(cm, {}).assigned == {1: 11, 2: 10}
+
+
 def test_allocate_empty():
     cm = CostMatrix(np.zeros((0, 0)), (), ())
     assert allocate(cm, {}).assigned == {}

@@ -116,6 +116,30 @@ def test_bad_mission_geometry_rejected_at_config_time(key, value, field):
         cli.mission_config_from(cfg, seed=0)
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"robots": True}, "config robots must be an integer, not True"),
+    ({"robots": "6"}, "config robots must be an integer, not '6'"),
+    ({"robots": 6.9}, "config robots must be an integer, not 6.9"),
+    ({"grid": [7.8, 7]}, "config grid[0] must be an integer, not 7.8"),
+    ({"grid": [7, 7.0]}, "config grid[1] must be an integer, not 7.0"),
+    ({"grid": [7, 7, 7]}, "config grid must be a list [rows, cols], not [7, 7, 7]"),
+    ({"grid": [7]}, "config grid must be a list [rows, cols], not [7]"),
+    ({"grid": 7}, "config grid must be a list [rows, cols], not 7"),
+    ({"targets": {"total": 4.5}}, "config targets.total must be an integer, not 4.5"),
+    ({"targets": {"mrt_visits": 2.7}},
+     "config targets.mrt_visits must be an integer, not 2.7"),
+    ({"targets": {"cluster_count": 2.5}},
+     "config targets.cluster_count must be an integer, not 2.5"),
+])
+def test_counts_must_be_integers(tmp_path, override, message):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(override))
+    cfg = cli.load_config(p)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.mission_config_from(cfg, seed=0)
+        cli.distribution_from(cfg)
+
+
 def test_apply_axis():
     cfg = cli.load_config(None)
     assert cli._apply_axis(cfg, "robots", 9)["robots"] == 9
@@ -187,6 +211,20 @@ def test_sweep_rejects_repeated_values(tmp_path, policy_files):
     cfg = small_cfg()
     cfg["sweep"] = {"axis": "robots", "values": [2, 3, 2], "repetitions": 1}
     with pytest.raises(ValueError, match="sweep value 2 is listed more than once"):
+        cli.run_sweep(cfg, 0, *policy_files, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"repetitions": 1.9}, "config sweep.repetitions must be an integer, not 1.9"),
+    ({"values": [2, 2.5]}, "config sweep.values must be an integer, not 2.5"),
+    ({"values": 3}, "config sweep.values must be a non-empty list, not 3"),
+    ({"values": []}, "config sweep.values must be a non-empty list, not []"),
+])
+def test_sweep_counts_must_be_integers(tmp_path, policy_files, sweep, message):
+    cfg = small_cfg()
+    cfg["sweep"].update(sweep)
+    with pytest.raises(ValueError, match=re.escape(message)):
         cli.run_sweep(cfg, 0, *policy_files, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 

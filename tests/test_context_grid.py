@@ -64,10 +64,10 @@ def test_deform_lands_on_object():
 
 def test_deform_only_moves_bound_node():
     g = fresh()
-    before = {n: node_coords(g, n) for n in g.iter_nodes()}
+    before = {n: node_coords(g, n) for n in g.uniform}
     deform(g, [("target", 1, (47.0, 43.0))])
     node = g.node_of[("target", 1)]
-    moved = [n for n in g.iter_nodes() if not np.allclose(node_coords(g, n), before[n])]
+    moved = [n for n in g.uniform if not np.allclose(node_coords(g, n), before[n])]
     assert moved == [node]
 
 
@@ -122,7 +122,7 @@ def test_deform_exact_within_clamp(points):
         got = node_coords(g, node)
         assert math.isclose(got[0], p[0], abs_tol=1e-9)
         assert math.isclose(got[1], p[1], abs_tol=1e-9)
-        ux, uy = g.uniform_coords(node)
+        ux, uy = g.uniform[node]
         assert abs(p[0] - ux) <= lim + 1e-9 and abs(p[1] - uy) <= lim + 1e-9
 
 
@@ -156,13 +156,13 @@ def test_pick_search_node_ranks_toward_anchor():
     g = fresh()
     deform(g, [("self", 0, (45.0, 45.0)), ("robot", 1, (60.0, 45.0))])
     anchor = (80.0, 70.0)
-    free = [n for n in g.iter_nodes() if not g.mask[n] and n not in g.bindings]
+    free = [n for n in g.uniform if not g.mask[n] and n not in g.bindings]
     picks = [pick_search_node(g, anchor, rank) for rank in range(4)]
     # distinct ranks claim distinct free nodes, nearest to the anchor first
     assert len(set(picks)) == 4 and all(n in free for n in picks)
-    dists = [math.dist(g.uniform_coords(n), anchor) for n in picks]
+    dists = [math.dist(g.uniform[n], anchor) for n in picks]
     assert dists == sorted(dists)
-    assert dists[0] == min(math.dist(g.uniform_coords(n), anchor) for n in free)
+    assert dists[0] == min(math.dist(g.uniform[n], anchor) for n in free)
     assert pick_search_node(g, anchor, len(free)) == picks[0]  # rank wraps
 
 
@@ -178,7 +178,7 @@ def reference_uniform(g, node):
 def reference_mask(centroid, rows, cols, d, arena):
     g = build_grid(centroid, rows, cols, d, arena)
     mask = np.zeros((rows, cols), dtype=bool)
-    for node in g.iter_nodes():
+    for node in g.uniform:
         p = reference_uniform(g, node)
         off = math.hypot(p[0] - centroid[0], p[1] - centroid[1])
         if not arena.contains(p) or off > arena.swarm_bound_radius + 1e-9:
@@ -190,7 +190,7 @@ def reference_deform(g, objects):
     """Each object takes the first node of a full sort of the free nodes."""
     for kind, obj_id, pos in objects:
         candidates = sorted(
-            (n for n in g.iter_nodes() if not g.mask[n] and n not in g.bindings),
+            (n for n in g.uniform if not g.mask[n] and n not in g.bindings),
             key=lambda n: (math.hypot(pos[0] - reference_uniform(g, n)[0],
                                       pos[1] - reference_uniform(g, n)[1]), n),
         )
@@ -234,8 +234,8 @@ def test_build_grid_matches_reference(case):
     centroid, rows, cols, d, _ = case
     g = build_grid(centroid, rows, cols, d, ARENA)
     assert np.array_equal(g.mask, reference_mask(centroid, rows, cols, d, ARENA))
-    assert list(g.uniform) == list(g.iter_nodes())
-    for node in g.iter_nodes():
+    assert list(g.uniform) == [(r, c) for r in range(rows) for c in range(cols)]
+    for node in g.uniform:
         assert g.uniform[node] == reference_uniform(g, node)
 
 
@@ -260,7 +260,7 @@ def test_node_coords_matches_np_sum(case):
     centroid, rows, cols, d, objects = case
     g = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
     rc, cc = g.center
-    for r, c in g.iter_nodes():
+    for r, c in g.uniform:
         x = g.centroid[0] - cc * d + float(np.sum(g.d_x[r, :c]))
         y = g.centroid[1] - rc * d + float(np.sum(g.d_y[:r, c]))
         assert node_coords(g, (r, c)) == (x, y)

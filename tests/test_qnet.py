@@ -18,6 +18,7 @@ from gridswarm.qnet import (
     sync_target,
     td_loss,
 )
+from gridswarm.scenario import STAY
 
 
 def make(spec, seed=0):
@@ -218,18 +219,15 @@ class TestReplayAndConfig:
         assert sorted(item[1] for item in buf.items) == [2, 3, 4]
 
     def test_epsilon_schedule(self):
-        cfg = TrainerConfig(episodes=1000, eps_start=1.0, eps_end=0.05,
-                            eps_decay_fraction=0.5)
+        cfg = TrainerConfig(episodes=1000, eps_end=0.05, eps_decay_fraction=0.5)
         assert cfg.epsilon(0) == pytest.approx(1.0)
         assert cfg.epsilon(250) == pytest.approx(0.525)
         assert cfg.epsilon(500) == pytest.approx(0.05)
         assert cfg.epsilon(999) == pytest.approx(0.05)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainerConfig(gamma=1.5)
-        with pytest.raises(ValueError):
-            TrainerConfig(eps_start=2.0)
+        with pytest.raises(ValueError, match="eps_end"):
+            TrainerConfig(eps_end=2.0)
 
     def test_sync_target_copies(self):
         net = make(NetworkSpec.free(), seed=1)
@@ -284,6 +282,23 @@ class TestGames:
         assert not game.collided
         assert out[0][1] is True  # reached the goal
 
+    def test_conflict_episode_ends_at_the_step_cap(self):
+        game = ConflictGame(2)
+        game.reset(np.random.default_rng(0))
+        game.pos = [(0, 0), (1, 1)]
+        game.goal = [(0, 1), (1, 0)]
+        game.done = [False, False]
+        game.reward_total = [0.0, 0.0]
+        moves = []
+        qnet._conflict_episode(game, lambda s, avail: STAY, moves.append)
+        assert game.finished and not game.collided and not any(game.done)
+        assert game.steps == ConflictGame.MAX_STEPS == 12
+        assert len(moves) == 2 * 12
+        expected = 0.0
+        for _ in range(12):
+            expected += ConflictGame.STEP_PENALTY
+        assert game.reward_total == [expected, expected]
+
     def test_free_game_reward_bounds(self):
         rng = np.random.default_rng(3)
         game = FreeGame()
@@ -296,7 +311,7 @@ class TestGames:
 
 
 def test_free_training_runs_and_updates_weights():
-    cfg = TrainerConfig(episodes=400, max_steps=20)
+    cfg = TrainerConfig(episodes=400)
     rng = np.random.default_rng(0)
     init = QNetwork.initialize(NetworkSpec.free(), np.random.default_rng(0))
     net, log = qnet.train_free(cfg, seed=0)
@@ -306,7 +321,7 @@ def test_free_training_runs_and_updates_weights():
 
 
 def test_training_is_deterministic_in_seed():
-    cfg = TrainerConfig(episodes=200, max_steps=20)
+    cfg = TrainerConfig(episodes=200)
     net1, log1 = qnet.train_free(cfg, seed=7)
     net2, log2 = qnet.train_free(cfg, seed=7)
     assert log1 == log2

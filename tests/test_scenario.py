@@ -27,10 +27,6 @@ def grid_with(objects, centroid=(45.0, 45.0)):
     return g
 
 
-def node_pos(g, node):
-    return g.uniform_coords(node)
-
-
 def test_sign():
     assert sign(3.2) == 1 and sign(-0.1) == -1 and sign(0) == 0
 
@@ -78,7 +74,6 @@ def test_classify_conflict_with_adjacent_robot():
     ])
     label = classify(g, g.node_of[("self", 0)], g.node_of[("target", 1)])
     assert label.label == CONFLICT
-    assert label.conflict_robot == 2
     assert label.conflict_region.contains(g.node_of[("self", 0)])
     assert label.conflict_region.contains(g.node_of[("robot", 2)])
 
