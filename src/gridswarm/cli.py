@@ -155,18 +155,30 @@ def _count(value, key: str) -> int:
     return value
 
 
+def _real(value, key: str):
+    """`value` if it is an int or float (not a bool), else a ValueError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config {key} must be a number, not {value!r}")
+    return value
+
+
+def _reals(cfg: dict, block: str) -> dict:
+    """The `block` mapping of `cfg`, each of its values read by `_real`."""
+    return {k: _real(v, f"{block}.{k}") for k, v in cfg[block].items()}
+
+
 def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionConfig:
     grid = cfg["grid"]
     if not isinstance(grid, list) or len(grid) != 2:
         raise ValueError(f"config grid must be a list [rows, cols], not {grid!r}")
     return MissionConfig(
-        arena=ArenaConfig(**cfg["arena"]),
+        arena=ArenaConfig(**_reals(cfg, "arena")),
         n_robots=_count(cfg["robots"], "robots"),
-        kinematics=KinematicParams(**cfg["kinematics"]),
-        pi=PIState(**cfg["pi"]),
+        kinematics=KinematicParams(**_reals(cfg, "kinematics")),
+        pi=PIState(**_reals(cfg, "pi")),
         grid_rows=_count(grid[0], "grid[0]"),
         grid_cols=_count(grid[1], "grid[1]"),
-        max_time=float(cfg["max_time"]),
+        max_time=float(_real(cfg["max_time"], "max_time")),
         seed=seed,
         spawn_box=tuple(cfg["spawn_box"]),
         log_trajectory=log_trajectory,
@@ -178,11 +190,11 @@ def distribution_from(cfg: dict) -> DistributionSpec:
     return DistributionSpec(
         kind=t["kind"],
         total_targets=_count(t["total"], "targets.total"),
-        mrt_fraction=float(t["mrt_fraction"]),
+        mrt_fraction=float(_real(t["mrt_fraction"], "targets.mrt_fraction")),
         mrt_visits=_count(t["mrt_visits"], "targets.mrt_visits"),
         cluster_count=(None if t["cluster_count"] is None
                        else _count(t["cluster_count"], "targets.cluster_count")),
-        cluster_radius=float(t["cluster_radius"]),
+        cluster_radius=float(_real(t["cluster_radius"], "targets.cluster_radius")),
     )
 
 
@@ -206,9 +218,9 @@ def _apply_axis(cfg: dict, axis: str, value):
     if axis == "robots":
         cfg["robots"] = _count(value, "sweep.values")
     elif axis == "mrt_percent":
-        cfg["targets"]["mrt_fraction"] = float(value) / 100.0
+        cfg["targets"]["mrt_fraction"] = float(_real(value, "sweep.values")) / 100.0
     elif axis == "sensor_radius":
-        cfg["arena"]["global_sensor_range"] = float(value)
+        cfg["arena"]["global_sensor_range"] = float(_real(value, "sweep.values"))
     elif axis == "distribution":
         cfg["targets"]["kind"] = str(value)
     else:
@@ -220,9 +232,8 @@ def execute_run(cfg: dict, child_seed: int, conflict_net, free_net,
                 log_trajectory=False):
     """One seeded mission: scenario from one child stream, sim from another."""
     scen_rng = np.random.default_rng(splitmix64(child_seed, 0))
-    targets = generate_scenario(distribution_from(cfg), ArenaConfig(**cfg["arena"]),
-                                scen_rng)
     mconfig = mission_config_from(cfg, splitmix64(child_seed, 1), log_trajectory)
+    targets = generate_scenario(distribution_from(cfg), mconfig.arena, scen_rng)
     mission = Mission(mconfig, targets, conflict_net, free_net)
     return mission.run()
 

@@ -77,6 +77,7 @@ class QNetwork:
     def __init__(self, spec: NetworkSpec, weights: list):
         self.spec = spec
         self.weights = weights  # one (out, in+1) matrix per layer + output
+        self._inputs = {}  # batch size -> one (B, in+1) input buffer per layer
 
     @classmethod
     def initialize(cls, spec: NetworkSpec, rng) -> "QNetwork":
@@ -89,25 +90,43 @@ class QNetwork:
     def copy(self) -> "QNetwork":
         return QNetwork(self.spec, [w.copy() for w in self.weights])
 
-    def _layer_input(self, hs: list, layer: int) -> np.ndarray:
-        if self.spec.skip_concat is not None and layer == self.spec.skip_concat[1]:
-            src, _ = self.spec.skip_concat
-            return np.concatenate([hs[layer - 1], hs[src]], axis=1)
-        return hs[layer - 1]
+    def _layer_inputs(self, batch: int) -> list:
+        """The augmented inputs of every layer at one batch size; the last
+        column of each stays 1.0, the bias input."""
+        inputs = self._inputs.get(batch)
+        if inputs is None:
+            inputs = [np.ones((batch, cols)) for _, cols in self.spec.weight_shapes()]
+            self._inputs[batch] = inputs
+        return inputs
 
     def forward_cached(self, states: np.ndarray):
-        """Batch forward pass; returns (q, hidden activations incl. input)."""
+        """Batch forward pass; returns (q, augmented layer inputs).
+
+        Entry k of the list is the (B, in+1) input of layer k + 1, the
+        output layer last: its first columns hold the activations of layer
+        k (the states for k = 0), followed by the skip source's on the
+        concatenation layer's input, and its last column is 1.0.  The list
+        belongs to the net and is valid until its next pass at the same
+        batch size; q is a fresh array.
+        """
         s = np.atleast_2d(np.asarray(states, dtype=float))
         if s.shape[1] != self.spec.input_dim:
             raise ValueError(
                 f"state width {s.shape[1]} != input_dim {self.spec.input_dim}"
             )
-        hs = [s]
-        for layer in range(1, len(self.spec.hidden_widths) + 1):
-            inp = self._layer_input(hs, layer)
-            pre = _aug(inp) @ self.weights[layer - 1].T
-            hs.append(pre if self.spec.is_linear(layer) else np.tanh(pre))
-        z = _aug(hs[-1]) @ self.weights[-1].T
+        hs = self._layer_inputs(s.shape[0])
+        hs[0][:, :-1] = s
+        skip = self.spec.skip_concat
+        for layer, width in enumerate(self.spec.hidden_widths, start=1):
+            pre = hs[layer - 1] @ self.weights[layer - 1].T
+            h = hs[layer][:, :width]
+            if self.spec.is_linear(layer):
+                h[...] = pre
+            else:
+                np.tanh(pre, out=h)
+            if skip is not None and layer == skip[0]:
+                hs[skip[1] - 1][:, -width - 1:-1] = h
+        z = hs[-1] @ self.weights[-1].T
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
         q = e / e.sum(axis=1, keepdims=True)
@@ -121,34 +140,30 @@ class QNetwork:
                  coeff: np.ndarray) -> list:
         """Gradients of sum_b coeff[b] * Q(s_b, a_b) w.r.t. every weight."""
         B = q.shape[0]
-        n_hidden = len(self.spec.hidden_widths)
+        widths = self.spec.hidden_widths
+        n_hidden = len(widths)
         qa = q[np.arange(B), actions]
         delta_out = -coeff[:, None] * qa[:, None] * q  # softmax jacobian row
         delta_out[np.arange(B), actions] += coeff * qa
         grads = [None] * len(self.weights)
-        grads[-1] = delta_out.T @ _aug(hs[-1])
+        grads[-1] = delta_out.T @ hs[-1]
         # accumulated dL/dh for each hidden layer (1-based indexing into hs)
         dh = [None] * (n_hidden + 1)
         dh[n_hidden] = delta_out @ self.weights[-1][:, :-1]
         for layer in range(n_hidden, 0, -1):
             d = dh[layer]
             if not self.spec.is_linear(layer):
-                d = d * (1.0 - hs[layer] ** 2)
-            inp = self._layer_input(hs, layer)
-            grads[layer - 1] = d.T @ _aug(inp)
+                d = d * (1.0 - hs[layer][:, :widths[layer - 1]] ** 2)
+            grads[layer - 1] = d.T @ hs[layer - 1]
             dinp = d @ self.weights[layer - 1][:, :-1]
             if layer == 1:
                 continue
-            prev_w = self.spec.hidden_widths[layer - 2]
+            prev_w = widths[layer - 2]
             _accum(dh, layer - 1, dinp[:, :prev_w])
             if self.spec.skip_concat is not None and layer == self.spec.skip_concat[1]:
                 src = self.spec.skip_concat[0]
                 _accum(dh, src, dinp[:, prev_w:])
         return grads
-
-
-def _aug(h: np.ndarray) -> np.ndarray:
-    return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
 
 
 def _accum(dh: list, idx: int, val: np.ndarray):
@@ -298,32 +313,34 @@ class TrainerConfig:
 
 
 class ReplayBuffer:
+    """Ring of the last `capacity` transitions (s, a, r, s2, terminal,
+    avail2), one preallocated numpy column per field."""
+
+    FIELDS = ("s", "a", "r", "s2", "terminal", "avail2")
+    DTYPES = (float, np.int64, float, float, bool, bool)
+
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.items = []
+        self.columns = None  # allocated at the first push, shaped by it
+        self.size = 0
         self.pos = 0
 
     def push(self, item):
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-        else:
-            self.items[self.pos] = item
+        if self.columns is None:
+            # np.empty leaves the pages no transition has reached unbacked
+            self.columns = [np.empty((self.capacity,) + np.shape(v), dtype=dtype)
+                            for v, dtype in zip(item, self.DTYPES)]
+        for column, v in zip(self.columns, item):
+            column[self.pos] = v
         self.pos = (self.pos + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
 
     def __len__(self):
-        return len(self.items)
+        return self.size
 
     def sample(self, n: int, rng) -> dict:
-        idx = rng.integers(len(self.items), size=n)
-        s, a, r, s2, term, avail2 = zip(*(self.items[i] for i in idx))
-        return {
-            "s": np.array(s),
-            "a": np.array(a),
-            "r": np.array(r),
-            "s2": np.array(s2),
-            "terminal": np.array(term),
-            "avail2": np.array(avail2),
-        }
+        idx = rng.integers(self.size, size=n)
+        return {name: column[idx] for name, column in zip(self.FIELDS, self.columns)}
 
 
 class ConflictGame:

@@ -140,6 +140,32 @@ def test_counts_must_be_integers(tmp_path, override, message):
         cli.distribution_from(cfg)
 
 
+REAL_KEYS = [("max_time",), ("targets", "mrt_fraction"), ("targets", "cluster_radius")]
+REAL_KEYS += [(block, key) for block in ("arena", "kinematics", "pi")
+              for key in cli.DEFAULT_CONFIG[block]]
+
+
+@pytest.mark.parametrize("path", REAL_KEYS, ids=".".join)
+@pytest.mark.parametrize("bad", ["25", True, None])
+def test_reals_must_be_numbers(tmp_path, path, bad):
+    override = bad
+    for key in reversed(path):
+        override = {key: override}
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(override))
+    cfg = cli.load_config(p)
+    message = f"config {'.'.join(path)} must be a number, not {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.mission_config_from(cfg, seed=0)
+        cli.distribution_from(cfg)
+
+
+@pytest.mark.parametrize("axis", ["mrt_percent", "sensor_radius"])
+def test_real_sweep_values_must_be_numbers(axis):
+    with pytest.raises(ValueError, match="config sweep.values must be a number, not '40'"):
+        cli._apply_axis(cli.load_config(None), axis, "40")
+
+
 def test_apply_axis():
     cfg = cli.load_config(None)
     assert cli._apply_axis(cfg, "robots", 9)["robots"] == 9

@@ -216,7 +216,8 @@ class TestReplayAndConfig:
         for k in range(5):
             buf.push((np.zeros(2), k, 0.0, np.zeros(2), False, np.ones(5, bool)))
         assert len(buf) == 3
-        assert sorted(item[1] for item in buf.items) == [2, 3, 4]
+        actions = buf.sample(200, np.random.default_rng(0))["a"]
+        assert set(actions.tolist()) == {2, 3, 4}
 
     def test_epsilon_schedule(self):
         cfg = TrainerConfig(episodes=1000, eps_end=0.05, eps_decay_fraction=0.5)

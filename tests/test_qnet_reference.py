@@ -1,0 +1,249 @@
+"""Byte-identity of the Q-net passes and the replay ring against references.
+
+The references are the straightforward forms: every layer input built by
+`np.concatenate` with a column of ones, and replay kept as a list of
+transition tuples.  The shipped code reuses each net's preallocated layer
+buffers and keeps replay in numpy columns; both must produce the same bytes,
+so trained weights do not move.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from gridswarm.qnet import NetworkSpec, QNetwork, ReplayBuffer, td_loss
+
+SPECS = {"conflict": NetworkSpec.conflict(), "free": NetworkSpec.free()}
+batch_sizes = st.lists(st.integers(1, 40), min_size=1, max_size=6)
+seeds = st.integers(0, 2**32 - 1)
+
+
+# -- reference passes --------------------------------------------------------
+
+def _aug(h):
+    return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
+
+
+def _layer_input(spec, hs, layer):
+    if spec.skip_concat is not None and layer == spec.skip_concat[1]:
+        return np.concatenate([hs[layer - 1], hs[spec.skip_concat[0]]], axis=1)
+    return hs[layer - 1]
+
+
+def ref_forward_cached(net, states):
+    spec = net.spec
+    hs = [np.atleast_2d(np.asarray(states, dtype=float))]
+    for layer in range(1, len(spec.hidden_widths) + 1):
+        pre = _aug(_layer_input(spec, hs, layer)) @ net.weights[layer - 1].T
+        hs.append(pre if spec.is_linear(layer) else np.tanh(pre))
+    z = _aug(hs[-1]) @ net.weights[-1].T
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True), hs
+
+
+def ref_backward(net, q, hs, actions, coeff):
+    spec = net.spec
+    B, n_hidden = q.shape[0], len(spec.hidden_widths)
+    qa = q[np.arange(B), actions]
+    delta_out = -coeff[:, None] * qa[:, None] * q
+    delta_out[np.arange(B), actions] += coeff * qa
+    grads = [None] * len(net.weights)
+    grads[-1] = delta_out.T @ _aug(hs[-1])
+    dh = [None] * (n_hidden + 1)
+    dh[n_hidden] = delta_out @ net.weights[-1][:, :-1]
+
+    def accum(idx, val):
+        dh[idx] = val if dh[idx] is None else dh[idx] + val
+
+    for layer in range(n_hidden, 0, -1):
+        d = dh[layer]
+        if not spec.is_linear(layer):
+            d = d * (1.0 - hs[layer] ** 2)
+        grads[layer - 1] = d.T @ _aug(_layer_input(spec, hs, layer))
+        dinp = d @ net.weights[layer - 1][:, :-1]
+        if layer == 1:
+            continue
+        prev_w = spec.hidden_widths[layer - 2]
+        accum(layer - 1, dinp[:, :prev_w])
+        if spec.skip_concat is not None and layer == spec.skip_concat[1]:
+            accum(spec.skip_concat[0], dinp[:, prev_w:])
+    return grads
+
+
+def ref_td_loss(net, target_net, batch, gamma):
+    s, a, r = batch["s"], batch["a"], batch["r"]
+    q2 = ref_forward_cached(target_net, batch["s2"])[0]
+    q2 = np.where(batch["avail2"], q2, -np.inf)
+    max_q2 = np.where(batch["terminal"], 0.0, q2.max(axis=1))
+    y = r + gamma * max_q2
+    q, hs = ref_forward_cached(net, s)
+    err = y - q[np.arange(len(a)), a]
+    coeff = -2.0 * err / len(a)
+    return float(np.mean(err**2)), ref_backward(net, q, hs, np.asarray(a), coeff)
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_layers_match(net, hs, ref_hs):
+    """Each buffer holds its layer's activations, then the skip source's on
+    the concatenation layer's input, then the bias column of ones."""
+    spec = net.spec
+    widths = (spec.input_dim,) + spec.hidden_widths
+    assert len(hs) == len(ref_hs)
+    for k, (buf, h) in enumerate(zip(hs, ref_hs)):
+        assert_same(np.ascontiguousarray(buf[:, :widths[k]]), h)
+        assert np.all(buf[:, -1] == 1.0)
+        if spec.skip_concat is not None and k == spec.skip_concat[1] - 1:
+            src = ref_hs[spec.skip_concat[0]]
+            assert_same(np.ascontiguousarray(buf[:, widths[k]:-1]), src)
+        else:
+            assert buf.shape[1] == widths[k] + 1
+
+
+def random_batch(rng, spec, B):
+    avail2 = rng.random((B, spec.output_dim)) < 0.5
+    avail2[np.arange(B), rng.integers(0, spec.output_dim, size=B)] = True  # as games do
+    return {
+        "s": rng.normal(scale=2.0, size=(B, spec.input_dim)),
+        "a": rng.integers(0, spec.output_dim, size=B),
+        "r": rng.uniform(-1.0, 1.0, size=B),
+        "s2": rng.normal(scale=2.0, size=(B, spec.input_dim)),
+        "terminal": rng.random(B) < 0.3,
+        "avail2": avail2,
+    }
+
+
+# -- passes ------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), seeds, batch_sizes)
+def test_forward_and_backward_match_reference(name, seed, sizes):
+    """Batch sizes interleave on one net; each pass and its gradients equal
+    the reference's byte for byte, and no earlier q is overwritten."""
+    spec = SPECS[name]
+    rng = np.random.default_rng(seed)
+    net = QNetwork.initialize(spec, rng)
+    earlier = []
+    for B, other in zip(sizes, sizes[1:] + sizes[:1]):
+        s = rng.normal(scale=2.0, size=(B, spec.input_dim))
+        a = rng.integers(0, spec.output_dim, size=B)
+        coeff = rng.normal(size=B)
+        ref_q, ref_hs = ref_forward_cached(net, s)
+        q, hs = net.forward_cached(s)
+        assert_same(q, ref_q)
+        assert_layers_match(net, hs, ref_hs)
+        if other != B:  # a pass at another batch size leaves these inputs be
+            net.forward_cached(rng.normal(size=(other, spec.input_dim)))
+        grads = net.backward(q, hs, a, coeff)
+        for g, ref_g in zip(grads, ref_backward(net, ref_q, ref_hs, a, coeff)):
+            assert_same(g, ref_g)
+        earlier.append((q, q.copy()))
+    for q, snapshot in earlier:
+        assert_same(q, snapshot)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), seeds)
+def test_single_state_forward_matches_reference(name, seed):
+    spec = SPECS[name]
+    rng = np.random.default_rng(seed)
+    net = QNetwork.initialize(spec, rng)
+    state = rng.normal(scale=2.0, size=spec.input_dim)
+    assert_same(net.forward(state), ref_forward_cached(net, state)[0][0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), seeds, batch_sizes)
+def test_sgd_on_td_loss_matches_reference(name, seed, sizes):
+    """An online net and its copy() as target net, trained for a few SGD
+    steps at interleaved batch sizes, keep the reference's exact weights."""
+    spec = SPECS[name]
+    rng = np.random.default_rng(seed)
+    net = QNetwork.initialize(spec, rng)
+    target = net.copy()
+    ref_net, ref_target = net.copy(), net.copy()
+    for step, B in enumerate(sizes):
+        batch = random_batch(rng, spec, B)
+        loss, grads = td_loss(net, target, batch, gamma=0.9)
+        ref_loss, ref_grads = ref_td_loss(ref_net, ref_target, batch, gamma=0.9)
+        assert loss == ref_loss
+        for g, ref_g in zip(grads, ref_grads):
+            assert_same(g, ref_g)
+        for w, g, ref_w, ref_g in zip(net.weights, grads, ref_net.weights, ref_grads):
+            w -= 0.1 * g
+            ref_w -= 0.1 * ref_g
+        if step % 2:  # sync the targets now and then, as training does
+            for wt, w, ref_wt, ref_w in zip(target.weights, net.weights,
+                                            ref_target.weights, ref_net.weights):
+                np.copyto(wt, w)
+                np.copyto(ref_wt, ref_w)
+    for w, ref_w in zip(net.weights, ref_net.weights):
+        assert_same(w, ref_w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), seeds, st.integers(1, 40))
+def test_copy_shares_no_layer_buffers(name, seed, B):
+    """A pass of the copy at the same batch size leaves the original's
+    layer inputs as they were."""
+    spec = SPECS[name]
+    rng = np.random.default_rng(seed)
+    net = QNetwork.initialize(spec, rng)
+    target = net.copy()
+    s, s2 = rng.normal(size=(2, B, spec.input_dim))
+    _q, hs = net.forward_cached(s)
+    target.forward_cached(s2)
+    assert_layers_match(net, hs, ref_forward_cached(net, s)[1])
+
+
+# -- replay ------------------------------------------------------------------
+
+class ListReplay:
+    """The list-of-tuples ring: the reference for ReplayBuffer."""
+
+    def __init__(self, capacity):
+        self.capacity, self.items, self.pos = capacity, [], 0
+
+    def push(self, item):
+        if len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            self.items[self.pos] = item
+        self.pos = (self.pos + 1) % self.capacity
+
+    def sample(self, n, rng):
+        idx = rng.integers(len(self.items), size=n)
+        s, a, r, s2, term, avail2 = zip(*(self.items[i] for i in idx))
+        return {"s": np.array(s), "a": np.array(a), "r": np.array(r),
+                "s2": np.array(s2), "terminal": np.array(term),
+                "avail2": np.array(avail2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), seeds, st.integers(1, 12),
+       st.integers(1, 40), st.integers(1, 40))
+def test_replay_sample_matches_list_reference(name, seed, capacity, pushes, n):
+    """Pushes past capacity wrap around; every sample has the reference's
+    rows, dtypes and shapes, and later pushes leave it as it was."""
+    dim = SPECS[name].input_dim
+    rng = np.random.default_rng(seed)
+    buf, ref = ReplayBuffer(capacity), ListReplay(capacity)
+    draw, ref_draw = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    earlier = []
+    for _ in range(pushes):
+        item = (rng.normal(size=dim), int(rng.integers(5)), float(rng.normal()),
+                rng.normal(size=dim), bool(rng.random() < 0.3), rng.random(5) < 0.7)
+        buf.push(item)
+        ref.push(item)
+        assert len(buf) == len(ref.items)
+        got, want = buf.sample(n, draw), ref.sample(n, ref_draw)
+        assert list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+        earlier.append((got, want))
+    for got, want in earlier:
+        for key in want:
+            assert_same(got[key], want[key])
