@@ -43,7 +43,7 @@ def build_cost_matrix(detections, self_position) -> CostMatrix:
     entries = np.zeros((len(robots), len(targets)))
     for i, (_rid, rpos) in enumerate(robots):
         for j, (_tid, tpos, _req) in enumerate(targets):
-            entries[i, j] = math.hypot(rpos[0] - tpos[0], rpos[1] - tpos[1])
+            entries[i, j] = math.dist(rpos, tpos)
     return CostMatrix(
         entries=entries,
         robot_ids=tuple(r for r, _ in robots),

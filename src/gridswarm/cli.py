@@ -156,8 +156,9 @@ def _count(value, key: str) -> int:
 
 
 def _real(value, key: str):
-    """`value` if it is an int or float (not a bool), else a ValueError naming `key`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """`value` if it is a finite int or float (not a bool), else a ValueError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not math.isfinite(value)):
         raise ValueError(f"config {key} must be a number, not {value!r}")
     return value
 
@@ -171,6 +172,9 @@ def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionCo
     grid = cfg["grid"]
     if not isinstance(grid, list) or len(grid) != 2:
         raise ValueError(f"config grid must be a list [rows, cols], not {grid!r}")
+    box = cfg["spawn_box"]
+    if not isinstance(box, list) or len(box) != 4:
+        raise ValueError(f"config spawn_box must be a list [x0, y0, w, h], not {box!r}")
     return MissionConfig(
         arena=ArenaConfig(**_reals(cfg, "arena")),
         n_robots=_count(cfg["robots"], "robots"),
@@ -180,7 +184,7 @@ def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionCo
         grid_cols=_count(grid[1], "grid[1]"),
         max_time=float(_real(cfg["max_time"], "max_time")),
         seed=seed,
-        spawn_box=tuple(cfg["spawn_box"]),
+        spawn_box=tuple(_real(v, f"spawn_box[{i}]") for i, v in enumerate(box)),
         log_trajectory=log_trajectory,
     )
 

@@ -96,7 +96,7 @@ def step_kinematics(robot, psi_d: float, speed_cmd: float,
     if arena is not None:
         x = max(0.0, min(arena.width, x))
         y = max(0.0, min(arena.height, y))
-    return Robot(robot.id, (x, y), psi, speed_cmd)
+    return Robot(robot.id, (x, y), psi)
 
 
 def speed_command(distance: float, params: KinematicParams,

@@ -398,6 +398,9 @@ class ConflictGame:
             orr, oc = self.pos[j]
         else:
             orr, oc = r, c
+        # the per-axis clamp of scenario.region_toward, except that a peer
+        # level with self on an axis ties to the later start (missions take
+        # the earlier one); ROADMAP item 5 says why the rules stay apart
         r0 = min(max(r - 1 if orr < r else r, 0), self.SIZE - 2)
         c0 = min(max(c - 1 if oc < c else c, 0), self.SIZE - 2)
         region = Region(r0, c0, 2)

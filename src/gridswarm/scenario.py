@@ -69,21 +69,16 @@ def region_toward(self_node, probe_node, size: int, rows: int, cols: int) -> Reg
 
     Among all in-bounds blocks containing the self node, picks the one
     whose center is closest to the probe node; ties go to the smallest
-    (row0, col0).
+    (row0, col0).  The squared distance is one term per axis, so each axis
+    clamps its probe-centred start to the starts that keep self inside.
     """
-    sr, sc = self_node
-    pr, pc = probe_node
-    best = None
-    for r0 in range(max(0, sr - size + 1), min(sr, rows - size) + 1):
-        for c0 in range(max(0, sc - size + 1), min(sc, cols - size) + 1):
-            center = (r0 + (size - 1) / 2.0, c0 + (size - 1) / 2.0)
-            d = math.hypot(pr - center[0], pc - center[1])
-            key = (d, r0, c0)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise ValueError("grid too small for the requested region")
-    return Region(best[1], best[2], size)
+    starts = []
+    for s, p, n in zip(self_node, probe_node, (rows, cols)):
+        lo, hi = max(0, s - size + 1), min(s, n - size)
+        if lo > hi:
+            raise ValueError("grid too small for the requested region")
+        starts.append(min(max(p - size // 2, lo), hi))
+    return Region(*starts, size)
 
 
 def _foreign_robot_nodes(grid, region: Region):
@@ -123,14 +118,9 @@ def classify(grid, self_node, target_node) -> ScenarioLabel:
 
     candidates.extend(_foreign_robot_nodes(grid, reg))
 
-    seen = set()
-    ordered = []
-    for node, rid in candidates:
-        if rid not in seen:
-            seen.add(rid)
-            ordered.append((node, rid))
-    sr, sc = self_node
-    ordered.sort(key=lambda nr: (math.hypot(nr[0][0] - sr, nr[0][1] - sc), nr[1]))
+    # each robot is bound to one node, so the set holds one entry per id
+    ordered = sorted(set(candidates),
+                     key=lambda nr: (math.dist(nr[0], self_node), nr[1]))
 
     for rnode, rid in ordered:
         reg2 = region_toward(self_node, rnode, 2, rows, cols)

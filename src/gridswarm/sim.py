@@ -60,7 +60,8 @@ class MissionConfig:
             if getattr(self, name) < 3:  # the scenario probe is a 3x3 block
                 raise ValueError(f"{name} must be at least 3")
         box = self.spawn_box
-        if len(box) != 4 or not all(isinstance(v, numbers.Real) for v in box):
+        if len(box) != 4 or not all(isinstance(v, numbers.Real)
+                                    and not isinstance(v, bool) for v in box):
             raise ValueError(f"spawn_box must be 4 numbers (x0, y0, w, h), not {box!r}")
         x0, y0, w, h = box
         if w < 0 or h < 0:
@@ -171,7 +172,7 @@ class Mission:
             ctl.memory[tid] = (pos, req)
         for tid in sorted(ctl.memory):
             pos, _req = ctl.memory[tid]
-            if tid not in visible_ids and self._dist(robot.position, pos) \
+            if tid not in visible_ids and math.dist(robot.position, pos) \
                     <= 0.8 * self.arena.global_sensor_range:
                 del ctl.memory[tid]
         remembered = tuple(
@@ -201,8 +202,7 @@ class Mission:
         )
 
         in_bound = {
-            tid: math.hypot(pos[0] - centroid[0], pos[1] - centroid[1])
-            <= self.arena.swarm_bound_radius
+            tid: math.dist(pos, centroid) <= self.arena.swarm_bound_radius
             for tid, pos, _ in det.visible_targets
         }
         allocable = tuple(
@@ -314,36 +314,26 @@ class Mission:
                 return self._adjacent_hold(grid, tnode)
             return tnode
         # no allocated target: detected-but-out-of-bound targets act as cues
-        cues = sorted(
-            (self._dist(robot.position, pos), tid)
-            for tid, pos, _req in det.visible_targets
-            if not in_bound.get(tid, True) and ("target", tid) in grid.node_of
+        cue = min(
+            ((math.dist(robot.position, pos), tid)
+             for tid, pos, _req in det.visible_targets
+             if not in_bound.get(tid, True) and ("target", tid) in grid.node_of),
+            default=None,
         )
-        if cues:
-            tid = cues[0][1]
-            tnode = grid.node_of[("target", tid)]
-            if tid in self.ctl[robot.id].visited:
+        if cue is not None:
+            tnode = grid.node_of[("target", cue[1])]
+            if cue[1] in self.ctl[robot.id].visited:
                 return self._adjacent_hold(grid, tnode)
             return tnode
         return cg.pick_search_node(grid, self.sweep_anchors[self.sweep_idx], robot.id)
 
     @staticmethod
     def _adjacent_hold(grid, tnode):
-        self_nodes = None
-        best = None
-        for dr, dc in scenario.ACTION_DELTAS[:4]:
-            n = (tnode[0] + dr, tnode[1] + dc)
-            if not grid.in_range(n) or grid.mask[n]:
-                continue
-            b = grid.bindings.get(n)
-            if b is None or b[0] == "self":
-                if best is None:
-                    best = n
-                if b is not None:
-                    self_nodes = n  # already holding next to it
-        if self_nodes is not None:
-            return self_nodes
-        return best if best is not None else tnode
+        """Own node if next to the target, else the first free neighbour, else the target."""
+        around = [(tnode[0] + dr, tnode[1] + dc) for dr, dc in scenario.ACTION_DELTAS[:4]]
+        around = [n for n in around if grid.in_range(n) and not grid.mask[n]]
+        own = [n for n in around if grid.bindings.get(n, ("",))[0] == "self"]
+        return (own or [n for n in around if n not in grid.bindings] or [tnode])[0]
 
     # -- motion / commit phase ----------------------------------------------
 
@@ -361,7 +351,7 @@ class Mission:
         for robot in self.world.robots:
             ctl = self.ctl[robot.id]
             if ctl.waypoint is None or self.world.time >= ctl.deadline or \
-                    self._dist(robot.position, ctl.waypoint) <= self.arrival:
+                    math.dist(robot.position, ctl.waypoint) <= self.arrival:
                 self._decide(robot)
 
         centroid = world_mod.hale_centroid(self.world.robots)
@@ -369,7 +359,7 @@ class Mission:
         # advance on arrival, or when nothing is progressing at all (no
         # centroid approach and no visits): robots engaged beyond the bound
         # can pin the centroid, and only circuit progress frees them
-        d = self._dist(centroid, anchor)
+        d = math.dist(centroid, anchor)
         if d < self._sweep_best - 0.5:
             self._sweep_best = d
             self._sweep_since = self.world.time
@@ -381,10 +371,10 @@ class Mission:
         for robot in self.world.robots:
             ctl = self.ctl[robot.id]
             waypoint = ctl.waypoint
-            off = self._dist(robot.position, centroid)
+            off = math.dist(robot.position, centroid)
             if off > self.arena.swarm_bound_radius:
                 waypoint = centroid  # cohesion override: head back in
-            dist = self._dist(robot.position, waypoint)
+            dist = math.dist(robot.position, waypoint)
             if dist > self.arrival:
                 psi_d = motion.desired_heading(robot.position, waypoint)
                 cmd, ctl.pi = motion.pi_heading_command(
@@ -400,16 +390,13 @@ class Mission:
                 )
                 robot.position = updated.position
                 robot.heading = updated.heading
-                robot.speed = updated.speed
-            else:
-                robot.speed = 0.0
 
         # a target can die within this loop, so `tgt.live` is tested again
         live = [t for t in self.world.targets if t.live]
         for robot in self.world.robots:
             ctl = self.ctl[robot.id]
             for tgt in live:
-                if tgt.live and self._dist(robot.position, tgt.position) \
+                if tgt.live and math.dist(robot.position, tgt.position) \
                         <= self.arena.neutralize_radius:
                     if world_mod.try_neutralize(robot.id, tgt):
                         ctl.visited.add(tgt.id)
@@ -441,10 +428,6 @@ class Mission:
                         self.collisions += 1
                 elif d > 2.0 * COLLISION_RADIUS and self._colliding_pairs:
                     self._colliding_pairs.discard((a, b))
-
-    @staticmethod
-    def _dist(a, b) -> float:
-        return math.hypot(a[0] - b[0], a[1] - b[1])
 
     def run(self) -> MissionResult:
         while self.world.time < self.config.max_time and \

@@ -44,7 +44,6 @@ class Robot:
     id: int
     position: tuple
     heading: float = 0.0
-    speed: float = 0.0
 
 
 @dataclass
@@ -91,10 +90,6 @@ class Detections:
     hale_centroid: tuple
 
 
-def _dist(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def hale_centroid(robots) -> tuple:
     """Arithmetic mean of robot positions: the virtual-robot anchor point."""
     if not robots:
@@ -111,13 +106,13 @@ def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> Detections:
     targets = tuple(
         (t.id, t.position, t.required_visits)
         for t in world.targets
-        if t.live and _dist(robot.position, t.position) <= arena.global_sensor_range
+        if t.live and math.dist(robot.position, t.position) <= arena.global_sensor_range
     )
     neighbors = tuple(
         (r.id, r.position)
         for r in world.robots
         if r.id != robot.id
-        and _dist(robot.position, r.position) <= arena.local_sensor_range
+        and math.dist(robot.position, r.position) <= arena.local_sensor_range
     )
     return Detections(
         robot_id=robot.id,

@@ -146,7 +146,7 @@ REAL_KEYS += [(block, key) for block in ("arena", "kinematics", "pi")
 
 
 @pytest.mark.parametrize("path", REAL_KEYS, ids=".".join)
-@pytest.mark.parametrize("bad", ["25", True, None])
+@pytest.mark.parametrize("bad", ["25", True, None, math.nan, math.inf, -math.inf])
 def test_reals_must_be_numbers(tmp_path, path, bad):
     override = bad
     for key in reversed(path):
@@ -158,6 +158,25 @@ def test_reals_must_be_numbers(tmp_path, path, bad):
     with pytest.raises(ValueError, match=re.escape(message)):
         cli.mission_config_from(cfg, seed=0)
         cli.distribution_from(cfg)
+
+
+@pytest.mark.parametrize("box, message", [
+    (5, "config spawn_box must be a list [x0, y0, w, h], not 5"),
+    ([0, 0, 20], "config spawn_box must be a list [x0, y0, w, h], not [0, 0, 20]"),
+    ([0, 0, True, 20], "config spawn_box[2] must be a number, not True"),
+    ([0, math.nan, 20, 20], "config spawn_box[1] must be a number, not nan"),
+    ([0, 0, 20, math.inf], "config spawn_box[3] must be a number, not inf"),
+], ids=["scalar", "three", "bool", "nan", "inf"])
+def test_spawn_box_must_be_four_numbers(tmp_path, box, message):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({"spawn_box": box}))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.mission_config_from(cli.load_config(p), seed=0)
+
+
+def test_mission_config_rejects_bools_in_spawn_box():
+    with pytest.raises(ValueError, match="spawn_box must be 4 numbers"):
+        MissionConfig(spawn_box=(0.0, 0.0, True, 20.0))
 
 
 @pytest.mark.parametrize("axis", ["mrt_percent", "sensor_radius"])

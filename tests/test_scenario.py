@@ -1,5 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridswarm.context_grid import build_grid, deform
 from gridswarm.scenario import (
@@ -51,6 +55,44 @@ def test_region_toward_leans_toward_probe():
     assert (reg.row0, reg.col0) == (2, 2)
     reg = region_toward((2, 2), (0, 0), 3, 5, 5)
     assert (reg.row0, reg.col0) == (0, 0)
+
+
+def _region_toward_by_search(self_node, probe_node, size, rows, cols):
+    """Every in-bounds block holding self; the nearest centre wins, ties to the smallest start."""
+    (sr, sc), (pr, pc) = self_node, probe_node
+    return min(
+        (math.hypot(pr - (r0 + (size - 1) / 2.0), pc - (c0 + (size - 1) / 2.0)), r0, c0)
+        for r0 in range(max(0, sr - size + 1), min(sr, rows - size) + 1)
+        for c0 in range(max(0, sc - size + 1), min(sc, cols - size) + 1)
+    )[1:]
+
+
+def test_region_toward_matches_nearest_centre_search():
+    """The per-axis clamp equals the search over all blocks, probes up to 2 nodes off-grid."""
+    checked = 0
+    for rows, cols, size in itertools.product(range(3, 10), range(3, 10), (2, 3)):
+        probes = list(itertools.product(range(-2, rows + 2), range(-2, cols + 2)))
+        for self_node in itertools.product(range(rows), range(cols)):
+            for probe in probes:
+                reg = region_toward(self_node, probe, size, rows, cols)
+                assert (reg.row0, reg.col0) == _region_toward_by_search(
+                    self_node, probe, size, rows, cols), (rows, cols, size, self_node, probe)
+                checked += 1
+    assert checked == 401_408
+
+
+def test_region_toward_rejects_a_grid_smaller_than_the_block():
+    with pytest.raises(ValueError, match="grid too small"):
+        region_toward((0, 0), (1, 1), 3, 2, 5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                min_size=4, max_size=4))
+def test_math_dist_equals_hypot_of_differences(v):
+    """The engine measures with math.dist; it must give hypot's exact bits."""
+    a, b = (v[0], v[1]), (v[2], v[3])
+    assert math.dist(a, b) == math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def test_clockwise_ring_starts_at_self():
