@@ -3,6 +3,12 @@
 The PI loop produces a correction that is added to the geometric desired
 heading before the first-order heading dynamics are integrated; both gains
 are exposed so either loop can be disabled.
+
+`advance` is the per-dt path the mission engine runs: one call moves one
+robot.  The five step functions `desired_heading` -> `pi_heading_command`
+-> `speed_command` -> `corrected_setpoint` -> `step_kinematics` are its
+step-by-step reference; `advance` performs exactly their float operations,
+in the same order, so it gives the same bits.
 """
 
 from __future__ import annotations
@@ -10,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from gridswarm.world import Robot
+from gridswarm.world import Robot, reject_non_finite
 
 _EPS = 1e-12
+_SETPOINT_LIM = math.pi - 1e-6  # keeps the setpoint offset inside (-pi, pi)
 
 
 def wrap_angle(a: float) -> float:
@@ -31,6 +38,7 @@ class KinematicParams:
     dt: float = 0.1
 
     def __post_init__(self):
+        reject_non_finite(self)
         if min(self.v_max, self.heading_gain, self.omega_max, self.dt) <= 0:
             raise ValueError("kinematic parameters must be strictly positive")
 
@@ -41,8 +49,8 @@ class PIState:
     ki: float = 0.003
     integral_error: float = 0.0
 
-    def reset(self) -> "PIState":
-        return PIState(self.kp, self.ki, 0.0)
+    def __post_init__(self):
+        reject_non_finite(self)
 
 
 def desired_heading(position, waypoint) -> float:
@@ -76,8 +84,7 @@ def corrected_setpoint(psi: float, psi_d: float, cmd: float) -> float:
     faces directly away from the waypoint.
     """
     offset = wrap_angle(psi_d - psi) + cmd
-    lim = math.pi - 1e-6
-    return wrap_angle(psi + max(-lim, min(lim, offset)))
+    return wrap_angle(psi + max(-_SETPOINT_LIM, min(_SETPOINT_LIM, offset)))
 
 
 def step_kinematics(robot, psi_d: float, speed_cmd: float,
@@ -111,3 +118,58 @@ def speed_command(distance: float, params: KinematicParams,
         return 0.0
     align = max(0.0, math.cos(wrap_angle(heading_error)))
     return min(params.v_max, distance / params.dt) * align
+
+
+def advance(robot, waypoint, distance: float, integral: float, kp: float,
+            ki: float, params: KinematicParams, arena) -> float:
+    """Move `robot` in place one dt toward `waypoint`; return the new PI integral.
+
+    `distance` is `math.dist(robot.position, waypoint)` and must exceed the
+    arrival threshold.  Gives the same bits as `desired_heading` ->
+    `pi_heading_command` -> `speed_command` -> `corrected_setpoint` ->
+    `step_kinematics` (position clipped to `arena`): it wraps the heading
+    error once where they wrap it three times, and writes `min(hi, x)` as
+    `x if x < hi else hi` and `max(lo, x)` as `x if x > lo else lo`, which
+    keep the builtins' choice on ties and signed zeros.
+    """
+    x, y = robot.position
+    psi = robot.heading
+    dt = params.dt
+    omega_max = params.omega_max
+    psi_d = wrap_angle(math.atan2(waypoint[1] - y, waypoint[0] - x))
+    e = wrap_angle(psi_d - psi)
+
+    integral = integral + e * dt
+    limit = omega_max / (_EPS if _EPS > ki else ki)
+    integral = integral if integral < limit else limit
+    integral = integral if integral > -limit else -limit
+    cmd = kp * e + ki * integral
+    cmd = cmd if cmd < omega_max else omega_max
+    cmd = cmd if cmd > -omega_max else -omega_max
+
+    align = math.cos(e)
+    align = align if align > 0.0 else 0.0
+    v_max = params.v_max
+    speed = distance / dt
+    speed = (speed if speed < v_max else v_max) * align
+
+    offset = e + cmd
+    offset = offset if offset < _SETPOINT_LIM else _SETPOINT_LIM
+    offset = offset if offset > -_SETPOINT_LIM else -_SETPOINT_LIM
+    setpoint = wrap_angle(psi + offset)
+
+    if not (0.0 <= speed <= v_max + 1e-9):
+        raise ValueError("speed command outside [0, v_max]")
+    rate = params.heading_gain * wrap_angle(setpoint - psi)
+    rate = rate if rate < omega_max else omega_max
+    rate = rate if rate > -omega_max else -omega_max
+    psi = wrap_angle(psi + rate * dt)
+    x = x + speed * math.cos(psi) * dt
+    y = y + speed * math.sin(psi) * dt
+    x = x if x < arena.width else arena.width
+    x = x if x > 0.0 else 0.0
+    y = y if y < arena.height else arena.height
+    y = y if y > 0.0 else 0.0
+    robot.position = (x, y)
+    robot.heading = psi
+    return integral

@@ -52,6 +52,7 @@ class MissionConfig:
     log_trajectory: bool = False
 
     def __post_init__(self):
+        world_mod.reject_non_finite(self)
         if self.n_robots < 1:
             raise ValueError("need at least one robot")
         if self.max_time <= 0:
@@ -99,7 +100,7 @@ class _RobotCtl:
 
     waypoint: tuple | None = None
     deadline: float = -1.0
-    pi: motion.PIState = motion.PIState()
+    integral: float = 0.0  # PI heading-error integral, reset at each decision
     visited: set = field(default_factory=set)
     memory: dict = field(default_factory=dict)  # target id -> (position, visits)
     engaged: int | None = None  # MRT the robot sticks with
@@ -131,7 +132,7 @@ class Mission:
         ]
         self.world = WorldState(robots=robots, targets=copy.deepcopy(targets))
         self.targets_by_id = {t.id: t for t in self.world.targets}
-        self.ctl = {r.id: _RobotCtl(pi=config.pi) for r in robots}
+        self.ctl = {r.id: _RobotCtl() for r in robots}
         self.first_detect: dict = {}
         self.target_times: dict = {}
         self.collisions = 0
@@ -299,7 +300,7 @@ class Mission:
         else:
             leg = 3.0 * cfg.grid_spacing / cfg.kinematics.v_max
             ctl.deadline = self.world.time + max(leg, 1.0)
-        ctl.pi = ctl.pi.reset()
+        ctl.integral = 0.0
 
     def _goal_node(self, robot, grid, assigned, det, in_bound):
         """Grid node the robot is ultimately trying to occupy."""
@@ -368,28 +369,17 @@ class Mission:
             self.sweep_idx = (self.sweep_idx + 1) % len(self.sweep_anchors)
             self._sweep_best = math.inf
             self._sweep_since = self.world.time
+        kp, ki = cfg.pi.kp, cfg.pi.ki
+        bound, arrival = self.arena.swarm_bound_radius, self.arrival
         for robot in self.world.robots:
             ctl = self.ctl[robot.id]
             waypoint = ctl.waypoint
-            off = math.dist(robot.position, centroid)
-            if off > self.arena.swarm_bound_radius:
+            if math.dist(robot.position, centroid) > bound:
                 waypoint = centroid  # cohesion override: head back in
             dist = math.dist(robot.position, waypoint)
-            if dist > self.arrival:
-                psi_d = motion.desired_heading(robot.position, waypoint)
-                cmd, ctl.pi = motion.pi_heading_command(
-                    robot.heading, psi_d, ctl.pi, dt, cfg.kinematics.omega_max
-                )
-                speed = motion.speed_command(
-                    dist, cfg.kinematics, self.arrival,
-                    heading_error=psi_d - robot.heading,
-                )
-                setpoint = motion.corrected_setpoint(robot.heading, psi_d, cmd)
-                updated = motion.step_kinematics(
-                    robot, setpoint, speed, cfg.kinematics, self.arena,
-                )
-                robot.position = updated.position
-                robot.heading = updated.heading
+            if dist > arrival:
+                ctl.integral = motion.advance(robot, waypoint, dist, ctl.integral,
+                                              kp, ki, cfg.kinematics, self.arena)
 
         # a target can die within this loop, so `tgt.live` is tested again
         live = [t for t in self.world.targets if t.live]

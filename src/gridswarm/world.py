@@ -10,7 +10,14 @@ uncommitted tail on a timeout (see `gridswarm.sim`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+
+def reject_non_finite(config) -> None:
+    """Raise ValueError naming the first float field of `config` that is NaN or infinite."""
+    for f in fields(config):
+        if f.type in ("float", float) and not math.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, not {getattr(config, f.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -25,6 +32,7 @@ class ArenaConfig:
     neutralize_radius: float = 1.0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("arena dimensions must be positive")
         if not (self.global_sensor_range > self.local_sensor_range > 0):

@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridswarm.motion import (
     KinematicParams,
     PIState,
+    advance,
     corrected_setpoint,
     desired_heading,
     pi_heading_command,
@@ -106,3 +107,89 @@ def test_waypoint_convergence():
         v = speed_command(d, params, 0.5, heading_error=psi_d - r.heading)
         r = step_kinematics(r, corrected_setpoint(r.heading, psi_d, cmd), v, params)
     assert math.hypot(wp[0] - r.position[0], wp[1] - r.position[1]) <= 0.5
+
+
+# -- advance against the five step functions -----------------------------
+
+_PARAMS = KinematicParams()
+_ARENA = ArenaConfig()
+_ARRIVAL = 0.5 * _ARENA.neutralize_radius  # the mission engine's threshold
+
+
+def _edge_coord(limit):
+    """A coordinate on, or one ulp inside or outside, an arena edge, or anywhere."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0),
+                         limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)]),
+        st.floats(0.0, limit),
+    )
+
+
+@st.composite
+def _tracking_inputs(draw):
+    position = (draw(_edge_coord(_ARENA.width)), draw(_edge_coord(_ARENA.height)))
+    # a NaN heading leaves a NaN position before the arena clip, the only
+    # input on which the order of its min and max shows
+    heading = draw(st.one_of(st.sampled_from([math.pi, -math.pi, 0.0, -0.0, math.nan]),
+                             st.floats(-math.pi, math.pi)))
+    reach = draw(st.one_of(
+        st.sampled_from([math.nextafter(_ARRIVAL, math.inf), _ARRIVAL * (1 + 1e-12),
+                         _ARRIVAL + 1e-9]),
+        st.floats(_ARRIVAL, 130.0),
+    ))
+    kind = draw(st.sampled_from(["ahead", "behind", "level_x", "level_y", "bearing"]))
+    if kind == "level_x":
+        waypoint = (position[0], position[1] + draw(st.sampled_from([reach, -reach])))
+    elif kind == "level_y":
+        waypoint = (position[0] + draw(st.sampled_from([reach, -reach])), position[1])
+    else:
+        if kind == "ahead":
+            bearing = heading
+        elif kind == "behind":
+            bearing = heading + math.pi
+        else:
+            bearing = draw(st.floats(-math.pi, math.pi))
+        waypoint = (position[0] + reach * math.cos(bearing),
+                    position[1] + reach * math.sin(bearing))
+    pi = draw(st.sampled_from([PIState(), PIState(ki=0.0)]))
+    limit = _PARAMS.omega_max / max(pi.ki, 1e-12)
+    integral = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, limit, -limit, math.nextafter(limit, math.inf),
+                         math.nextafter(-limit, -math.inf), 3.0 * limit, -3.0 * limit]),
+        st.floats(-2.0 * limit, 2.0 * limit),
+    ))
+    return position, heading, waypoint, integral, pi
+
+
+def _bits(position, heading, integral):
+    return [float.hex(v) for v in (*position, heading, integral)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_tracking_inputs())
+# a setpoint past -pi: only its wrap fixes the last bits of the turn rate
+@example(((15.436538565994676, 78.10029579914941), -math.pi,
+          (-74.99280027124243, 93.1371291067319), 0.0, PIState()))
+def test_advance_matches_the_five_step_functions_bit_for_bit(inputs):
+    position, heading, waypoint, integral, pi = inputs
+    dist = math.dist(position, waypoint)
+    if not dist > _ARRIVAL:
+        return  # the mission engine only moves robots beyond the arrival radius
+    robot = Robot(id=0, position=position, heading=heading)
+
+    psi_d = desired_heading(robot.position, waypoint)
+    cmd, state = pi_heading_command(robot.heading, psi_d, PIState(pi.kp, pi.ki, integral),
+                                    _PARAMS.dt, _PARAMS.omega_max)
+    speed = speed_command(dist, _PARAMS, _ARRIVAL, heading_error=psi_d - robot.heading)
+    setpoint = corrected_setpoint(robot.heading, psi_d, cmd)
+    expected = step_kinematics(robot, setpoint, speed, _PARAMS, _ARENA)
+
+    new_integral = advance(robot, waypoint, dist, integral, pi.kp, pi.ki, _PARAMS, _ARENA)
+    assert _bits(robot.position, robot.heading, new_integral) == \
+        _bits(expected.position, expected.heading, state.integral_error)
+
+
+def test_advance_keeps_the_speed_range_check():
+    robot = Robot(id=0, position=(10.0, 10.0), heading=0.0)
+    with pytest.raises(ValueError, match="speed command outside"):
+        advance(robot, (20.0, 10.0), -1.0, 0.0, 0.2, 0.003, _PARAMS, _ARENA)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from gridswarm.motion import KinematicParams, PIState
 from gridswarm.qnet import NetworkSpec, QNetwork
 from gridswarm.sim import Mission, MissionConfig, run_mission
 from gridswarm.world import ArenaConfig, Target
@@ -32,6 +35,20 @@ def test_config_validation(nets):
     with pytest.raises(ValueError):
         Mission(MissionConfig(spawn_box=(80.0, 80.0, 20.0, 20.0)),
                 targets_at(((5.0, 5.0), 1)), *nets)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config, field", [
+    (MissionConfig, "max_time"),
+    *((ArenaConfig, f) for f in ("width", "height", "swarm_bound_radius",
+                                 "global_sensor_range", "local_sensor_range",
+                                 "neutralize_radius")),
+    *((KinematicParams, f) for f in ("v_max", "heading_gain", "omega_max", "dt")),
+    *((PIState, f) for f in ("kp", "ki", "integral_error")),
+])
+def test_config_float_fields_must_be_finite(config, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        config(**{field: value})
 
 
 def test_grid_spacing():
