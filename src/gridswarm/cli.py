@@ -25,7 +25,7 @@ import yaml
 from gridswarm import qnet
 from gridswarm.motion import KinematicParams, PIState
 from gridswarm.sim import MissionConfig, Mission
-from gridswarm.world import ArenaConfig, Target
+from gridswarm.world import ArenaConfig, Target, reject_non_finite
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -48,6 +48,7 @@ class DistributionSpec:
     cluster_radius: float = 10.0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.kind not in ("uniform", "clustered"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.total_targets < 0:
@@ -285,7 +286,6 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
     else:
         _worker_init(conflict_path, free_path)
         rows = [_worker_run(j) for j in job_list]
-    rows.sort(key=lambda r: (values.index(r[0]), r[1]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "runs.csv", "w", newline="") as f:

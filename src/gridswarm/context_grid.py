@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 CLAMP_FRACTION = 0.49  # max gap adjustment, as a fraction of base spacing
 
 
@@ -27,9 +25,9 @@ class ContextGrid:
     cols: int
     base_spacing: float
     centroid: tuple
-    d_x: np.ndarray  # (rows, cols-1) column gaps
-    d_y: np.ndarray  # (rows-1, cols) row gaps
-    mask: np.ndarray  # (rows, cols) bool, True = unusable
+    d_x: list  # rows lists of cols-1 column gaps
+    d_y: list  # rows-1 lists of cols row gaps
+    mask: list  # rows lists of cols bools, True = unusable
     uniform: dict  # (row, col) -> undeformed (x, y), row-major
     bindings: dict = field(default_factory=dict)  # (row, col) -> (kind, id)
     node_of: dict = field(default_factory=dict)  # (kind, id) -> (row, col)
@@ -71,9 +69,9 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
         cols=cols,
         base_spacing=d,
         centroid=(cx, cy),
-        d_x=np.full((rows, cols - 1), float(d)),
-        d_y=np.full((rows - 1, cols), float(d)),
-        mask=np.array(mask, dtype=bool),
+        d_x=[[float(d)] * (cols - 1) for _ in range(rows)],
+        d_y=[[float(d)] * cols for _ in range(rows - 1)],
+        mask=mask,
         uniform=uniform,
     )
 
@@ -90,10 +88,10 @@ def node_coords(grid: ContextGrid, node) -> tuple:
     # summed left to right: bit-identical to np.sum below eight gaps (grids
     # up to 8x8); np.sum adds longer runs in eight interleaved partial sums
     x = y = 0.0
-    for g in grid.d_x[r, :c].tolist():
+    for g in grid.d_x[r][:c]:
         x += g
-    for g in grid.d_y[:r, c].tolist():
-        y += g
+    for gaps in grid.d_y[:r]:
+        y += gaps[c]
     return (x0 + x, y0 + y)
 
 
@@ -109,9 +107,9 @@ def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
         if abs(dx) > lim:
             dx = math.copysign(lim, dx)
             exact = False
-        grid.d_x[r, c - 1] += dx
+        grid.d_x[r][c - 1] += dx
     if 0 < c < grid.cols - 1:
-        grid.d_x[r, c] -= dx
+        grid.d_x[r][c] -= dx
     if r == 0:
         exact = exact and abs(dy) < 1e-9
         dy = 0.0
@@ -119,17 +117,16 @@ def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
         if abs(dy) > lim:
             dy = math.copysign(lim, dy)
             exact = False
-        grid.d_y[r - 1, c] += dy
+        grid.d_y[r - 1][c] += dy
     if 0 < r < grid.rows - 1:
-        grid.d_y[r, c] -= dy
+        grid.d_y[r][c] -= dy
     return exact
 
 
 def _free_nodes(grid: ContextGrid) -> list:
     """(node, x, y) of every unmasked, unbound node, in row-major order."""
-    masked = grid.mask.tolist()
     return [(n, x, y) for n, (x, y) in grid.uniform.items()
-            if not masked[n[0]][n[1]] and n not in grid.bindings]
+            if not grid.mask[n[0]][n[1]] and n not in grid.bindings]
 
 
 def deform(grid: ContextGrid, objects) -> ContextGrid:

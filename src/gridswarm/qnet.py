@@ -26,6 +26,7 @@ from gridswarm.scenario import (
     encode_conflict_state,
     encode_free_state,
 )
+from gridswarm.world import reject_non_finite
 
 _MAGIC = b"GSQN"
 _FORMAT_VERSION = 1
@@ -265,6 +266,8 @@ def _read_net(f) -> QNetwork:
         if found != shape:
             raise ValueError(f"weight matrix of shape {found}, {spec} needs {shape}")
         data = np.frombuffer(read(8 * shape[0] * shape[1]), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise ValueError(f"non-finite weight in a matrix of shape {shape}")
         weights.append(data.reshape(shape).copy())
     if f.read(1):
         raise ValueError("trailing bytes after the last weight matrix")
@@ -291,6 +294,7 @@ class TrainerConfig:
     reward_block: int = 100  # episodes per logged average
 
     def __post_init__(self):
+        reject_non_finite(self)
         if not (0.0 <= self.eps_end <= 1.0):
             raise ValueError("eps_end must lie in [0, 1]")
         if not 1 <= self.reward_block <= self.episodes:
@@ -460,7 +464,10 @@ class FreeGame:
         self.goal = (int(rng.integers(self.SIZE)), int(rng.integers(self.SIZE)))
         self.steps = 0
         self.reward_total = self.GOAL_REWARD if self.pos == self.goal else 0.0
-        self.finished = self.pos == self.goal
+
+    @property
+    def finished(self) -> bool:
+        return self.pos == self.goal or self.steps >= self.MAX_STEPS
 
     def encode(self) -> np.ndarray:
         # state axes are (x, y) = (col, row)
@@ -477,11 +484,8 @@ class FreeGame:
         self.steps += 1
         if self.pos == self.goal:
             r, terminal = self.STEP_PENALTY + self.GOAL_REWARD, True
-            self.finished = True
         else:
             r, terminal = self.STEP_PENALTY, False
-            if self.steps >= self.MAX_STEPS:
-                self.finished = True
         self.reward_total += r
         return r, terminal
 
@@ -525,25 +529,28 @@ def _train(net: QNetwork, config: TrainerConfig, rng, game, play):
 def _conflict_episode(game: ConflictGame, act, learn):
     """Play a reset conflict game out: every active agent acts, in id order,
     then all move at once; `learn` (None when evaluating) gets each mover's
-    transition."""
+    transition, whose next state is the state that mover acts on next."""
+    views = {i: (game.encode(i), game.action_mask(i))
+             for i in range(game.n_agents) if not game.done[i]}
     while not game.finished:
-        active = [i for i in range(game.n_agents) if not game.done[i]]
-        states = {i: game.encode(i) for i in active}
-        actions = {i: act(states[i], game.action_mask(i)) for i in active}
+        actions = {i: act(s, avail) for i, (s, avail) in views.items()}
         outcome = game.step(actions)
+        nexts = {i: (game.encode(i), game.action_mask(i)) for i in views}
         if learn is not None:
-            for i in active:
-                r, terminal = outcome[i]
-                learn((states[i], actions[i], r, game.encode(i), terminal,
-                       game.action_mask(i)))
+            for i, (s, _avail) in views.items():
+                (r, terminal), (s2, avail2) = outcome[i], nexts[i]
+                learn((s, actions[i], r, s2, terminal, avail2))
+        views = {i: v for i, v in nexts.items() if not game.done[i]}
 
 
 def _free_episode(game: FreeGame, act, learn):
+    s, avail = game.encode(), game.action_mask()
     while not game.finished:
-        s, avail = game.encode(), game.action_mask()
         a = act(s, avail)
         r, terminal = game.step(a)
-        learn((s, a, r, game.encode(), terminal, game.action_mask()))
+        s2, avail2 = game.encode(), game.action_mask()
+        learn((s, a, r, s2, terminal, avail2))
+        s, avail = s2, avail2
 
 
 def train_conflict_selfplay(config: TrainerConfig, n_agents: int = 2, seed: int = 0,

@@ -190,7 +190,7 @@ def action_mask_grid(node, grid, masked_nodes=(), robot_obstacles: bool = True) 
         if a != STAY:
             if not grid.in_range(dest):
                 continue
-            if grid.mask[dest] or dest in masked_nodes:
+            if grid.mask[dest[0]][dest[1]] or dest in masked_nodes:
                 continue
             b = grid.bindings.get(dest)
             if robot_obstacles and b is not None and b[0] == "robot":

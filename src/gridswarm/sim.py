@@ -8,8 +8,9 @@ grid node.  Motion integrates every dt; neutralizations and collisions are
 committed once per step in ascending robot id order.
 
 Robots exchange no messages, but decisions read live state, not a frozen
-snapshot: a robot that its allocation places in a multi-visit target's
-visit order appends itself to `Target.visit_sequence` at once, so robots
+snapshot: a robot allocated to a multi-visit target appends its own id,
+never a peer's, to `Target.visit_sequence` at once, so visit order is
+decision order (not `allocation.mrt_sequence`'s distance order) and robots
 deciding after it in the same step see the commitment.  That sequence is a
 target-side blackboard; `step` drops its uncommitted tail after
 SEQUENCE_TIMEOUT seconds without progress.
@@ -53,6 +54,9 @@ class MissionConfig:
 
     def __post_init__(self):
         world_mod.reject_non_finite(self)
+        if self.pi.integral_error != 0.0:
+            # each decision restarts the PI integral at 0.0
+            raise ValueError(f"pi.integral_error must be 0.0, not {self.pi.integral_error!r}")
         if self.n_robots < 1:
             raise ValueError("need at least one robot")
         if self.max_time <= 0:
@@ -101,7 +105,6 @@ class _RobotCtl:
     waypoint: tuple | None = None
     deadline: float = -1.0
     integral: float = 0.0  # PI heading-error integral, reset at each decision
-    visited: set = field(default_factory=set)
     memory: dict = field(default_factory=dict)  # target id -> (position, visits)
     engaged: int | None = None  # MRT the robot sticks with
     label: str = ""
@@ -197,7 +200,7 @@ class Mission:
         # range for the peers who still can
         cg.bind_snapshot(
             grid, robot.id, robot.position, det,
-            target_filter=lambda tid, pos: tid not in ctl.visited
+            target_filter=lambda tid, pos: robot.id not in targets_by_id[tid].visited_by
             or (targets_by_id[tid].live
                 and targets_by_id[tid].required_visits > 1),
         )
@@ -209,7 +212,7 @@ class Mission:
         allocable = tuple(
             (tid, pos, req)
             for tid, pos, req in det.visible_targets
-            if in_bound[tid] and tid not in ctl.visited
+            if in_bound[tid] and robot.id not in targets_by_id[tid].visited_by
         )
         det_alloc = Detections(det.robot_id, allocable, det.visible_neighbors,
                                det.hale_centroid)
@@ -219,12 +222,23 @@ class Mission:
                      - targets_by_id[tid].sequence_progress)
             for tid, _, _ in allocable
         }
-        alloc = alloc_mod.mrt_sequence(alloc_mod.allocate(cost, caps), cost)
+        alloc = alloc_mod.allocate(cost, caps)
 
+        # commit the visit order the local allocation implies; order only
+        # matters for multi-visit targets, and a robot may only commit
+        # ITSELF — naming a peer from a stale local view pins the slot on a
+        # robot whose own allocation may disagree, deadlocking the target
         assigned = alloc.assigned.get(robot.id)
+        if assigned is not None:
+            tgt = targets_by_id[assigned]
+            if tgt.required_visits > 1 and robot.id not in tgt.visit_sequence \
+                    and len(tgt.visit_sequence) < tgt.required_visits:
+                tgt.visit_sequence += (robot.id,)
+                self._seq_stamp[assigned] = self.world.time
+
         if ctl.engaged is not None:
             eng = targets_by_id.get(ctl.engaged)
-            if (eng is not None and eng.live and ctl.engaged not in ctl.visited
+            if (eng is not None and eng.live and robot.id not in eng.visited_by
                     and any(tid == ctl.engaged for tid, _, _ in det.visible_targets)):
                 assigned = ctl.engaged
             else:
@@ -232,19 +246,6 @@ class Mission:
         if assigned is not None and targets_by_id[assigned].kind == "MRT":
             ctl.engaged = assigned
         ctl.assigned = assigned
-
-        # commit the visit sequence the local allocation implies; ordering
-        # only matters for multi-visit targets, and a robot may only commit
-        # ITSELF — naming a peer from a stale local view pins the slot on a
-        # robot whose own allocation may disagree, deadlocking the target
-        for tid, seq in alloc.sequences.items():
-            tgt = targets_by_id[tid]
-            if tgt.required_visits == 1 or robot.id not in seq:
-                continue
-            if robot.id not in tgt.visit_sequence and \
-                    len(tgt.visit_sequence) < tgt.required_visits:
-                tgt.visit_sequence += (robot.id,)
-                self._seq_stamp[tid] = self.world.time
 
         self_node = grid.node_of[("self", robot.id)]
         tnode = self._goal_node(robot, grid, assigned, det, in_bound)
@@ -323,7 +324,7 @@ class Mission:
         )
         if cue is not None:
             tnode = grid.node_of[("target", cue[1])]
-            if cue[1] in self.ctl[robot.id].visited:
+            if robot.id in self.targets_by_id[cue[1]].visited_by:
                 return self._adjacent_hold(grid, tnode)
             return tnode
         return cg.pick_search_node(grid, self.sweep_anchors[self.sweep_idx], robot.id)
@@ -332,7 +333,7 @@ class Mission:
     def _adjacent_hold(grid, tnode):
         """Own node if next to the target, else the first free neighbour, else the target."""
         around = [(tnode[0] + dr, tnode[1] + dc) for dr, dc in scenario.ACTION_DELTAS[:4]]
-        around = [n for n in around if grid.in_range(n) and not grid.mask[n]]
+        around = [n for n in around if grid.in_range(n) and not grid.mask[n[0]][n[1]]]
         own = [n for n in around if grid.bindings.get(n, ("",))[0] == "self"]
         return (own or [n for n in around if n not in grid.bindings] or [tnode])[0]
 
@@ -389,7 +390,6 @@ class Mission:
                 if tgt.live and math.dist(robot.position, tgt.position) \
                         <= self.arena.neutralize_radius:
                     if world_mod.try_neutralize(robot.id, tgt):
-                        ctl.visited.add(tgt.id)
                         self._seq_stamp[tgt.id] = self.world.time + dt
                         self._last_visit = self.world.time
                         if not tgt.live:

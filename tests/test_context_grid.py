@@ -36,15 +36,15 @@ def test_uniform_coords_center():
 def test_mask_swarm_bound():
     g = fresh()
     # corners sit sqrt(2)*30 from the centroid: outside the bound circle
-    assert g.mask[0, 0] and g.mask[4, 4] and g.mask[0, 4] and g.mask[4, 0]
-    assert not g.mask[2, 2] and not g.mask[0, 2]
+    assert g.mask[0][0] and g.mask[4][4] and g.mask[0][4] and g.mask[4][0]
+    assert not g.mask[2][2] and not g.mask[0][2]
 
 
 def test_mask_arena_boundary():
     g = build_grid((10.0, 45.0), 5, 5, 15.0, ARENA)
     # western column would fall at x = -20: outside the arena
-    assert g.mask[:, 0].all()
-    assert not g.mask[2, 2]
+    assert all(row[0] for row in g.mask)
+    assert not g.mask[2][2]
 
 
 def test_centroid_outside_arena_rejected():
@@ -133,8 +133,8 @@ def test_deform_bindings_unique(points):
     deform(g, [("robot", i, p) for i, p in enumerate(points)])
     nodes = list(g.bindings.keys())
     assert len(nodes) == len(set(nodes))
-    for n in nodes:
-        assert not g.mask[n]
+    for r, c in nodes:
+        assert not g.mask[r][c]
 
 
 def test_bind_snapshot_priority_and_filter():
@@ -156,7 +156,7 @@ def test_pick_search_node_ranks_toward_anchor():
     g = fresh()
     deform(g, [("self", 0, (45.0, 45.0)), ("robot", 1, (60.0, 45.0))])
     anchor = (80.0, 70.0)
-    free = [n for n in g.uniform if not g.mask[n] and n not in g.bindings]
+    free = [n for n in g.uniform if not g.mask[n[0]][n[1]] and n not in g.bindings]
     picks = [pick_search_node(g, anchor, rank) for rank in range(4)]
     # distinct ranks claim distinct free nodes, nearest to the anchor first
     assert len(set(picks)) == 4 and all(n in free for n in picks)
@@ -190,7 +190,7 @@ def reference_deform(g, objects):
     """Each object takes the first node of a full sort of the free nodes."""
     for kind, obj_id, pos in objects:
         candidates = sorted(
-            (n for n in g.uniform if not g.mask[n] and n not in g.bindings),
+            (n for n in g.uniform if not g.mask[n[0]][n[1]] and n not in g.bindings),
             key=lambda n: (math.hypot(pos[0] - reference_uniform(g, n)[0],
                                       pos[1] - reference_uniform(g, n)[1]), n),
         )
@@ -239,6 +239,11 @@ def test_build_grid_matches_reference(case):
         assert g.uniform[node] == reference_uniform(g, node)
 
 
+def bits(gaps):
+    """Every gap as its exact bits, so -0.0 and 0.0 differ."""
+    return [[g.hex() for g in row] for row in gaps]
+
+
 @settings(max_examples=200, deadline=None)
 @given(grids_and_objects())
 def test_deform_matches_full_sort_reference(case):
@@ -249,8 +254,8 @@ def test_deform_matches_full_sort_reference(case):
     assert got.bindings == want.bindings
     assert got.node_of == want.node_of
     assert got.clamped == want.clamped
-    assert got.d_x.tobytes() == want.d_x.tobytes()
-    assert got.d_y.tobytes() == want.d_y.tobytes()
+    assert bits(got.d_x) == bits(want.d_x)
+    assert bits(got.d_y) == bits(want.d_y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -261,6 +266,6 @@ def test_node_coords_matches_np_sum(case):
     g = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
     rc, cc = g.center
     for r, c in g.uniform:
-        x = g.centroid[0] - cc * d + float(np.sum(g.d_x[r, :c]))
-        y = g.centroid[1] - rc * d + float(np.sum(g.d_y[:r, c]))
+        x = g.centroid[0] - cc * d + float(np.sum(g.d_x[r][:c]))
+        y = g.centroid[1] - rc * d + float(np.sum([gaps[c] for gaps in g.d_y[:r]]))
         assert node_coords(g, (r, c)) == (x, y)

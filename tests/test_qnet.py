@@ -201,6 +201,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="trailing bytes"):
             load_weights(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        net = make(NetworkSpec.free(), seed=1)
+        net.weights[1][3, 4] = value
+        p = tmp_path / "w.qnet"
+        save_weights(net, p)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: non-finite weight"):
+            load_weights(p)
+
     def test_matrix_shape_must_match_spec(self, tmp_path):
         net = make(NetworkSpec.free(), seed=1)
         net.weights[0] = net.weights[0][:, :-1]  # drop the bias column
@@ -290,11 +299,16 @@ class TestGames:
         game.goal = [(0, 1), (1, 0)]
         game.done = [False, False]
         game.reward_total = [0.0, 0.0]
-        moves = []
+        moves, encoded = [], []
+        encode = game.encode
+        game.encode = lambda i: encoded.append(i) or encode(i)
         qnet._conflict_episode(game, lambda s, avail: STAY, moves.append)
         assert game.finished and not game.collided and not any(game.done)
         assert game.steps == ConflictGame.MAX_STEPS == 12
         assert len(moves) == 2 * 12
+        # a move's next state is the following move's state: one encode
+        # per agent per move, plus each agent's first state
+        assert len(encoded) == 2 * (12 + 1)
         expected = 0.0
         for _ in range(12):
             expected += ConflictGame.STEP_PENALTY

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridswarm.cli import DistributionSpec
 from gridswarm.motion import KinematicParams, PIState
-from gridswarm.qnet import NetworkSpec, QNetwork
+from gridswarm.qnet import NetworkSpec, QNetwork, TrainerConfig
 from gridswarm.sim import Mission, MissionConfig, run_mission
 from gridswarm.world import ArenaConfig, Target
 
@@ -45,10 +47,20 @@ def test_config_validation(nets):
                                  "neutralize_radius")),
     *((KinematicParams, f) for f in ("v_max", "heading_gain", "omega_max", "dt")),
     *((PIState, f) for f in ("kp", "ki", "integral_error")),
+    *((TrainerConfig, f) for f in ("learning_rate", "eps_end", "eps_decay_fraction",
+                                   "lr_end_scale")),
+    *((DistributionSpec, f) for f in ("mrt_fraction", "cluster_radius")),
 ])
 def test_config_float_fields_must_be_finite(config, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         config(**{field: value})
+
+
+def test_pi_integral_must_start_at_zero():
+    # each decision restarts the integral at 0.0, so a start value would be ignored
+    with pytest.raises(ValueError, match=r"^pi\.integral_error must be 0\.0"):
+        MissionConfig(pi=PIState(integral_error=5.0))
+    assert MissionConfig(pi=PIState(integral_error=-0.0)).pi.integral_error == 0.0
 
 
 def test_grid_spacing():
@@ -130,3 +142,36 @@ def test_robots_stay_in_arena(nets):
     for row in res.trajectory:
         assert 0.0 <= row[2] <= arena.width
         assert 0.0 <= row[3] <= arena.height
+
+
+SMALL_ARENA = ArenaConfig(width=30.0, height=30.0, swarm_bound_radius=15.0)
+
+
+@st.composite
+def small_missions(draw):
+    n_robots = draw(st.integers(1, 3))
+    spots = st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0))
+    targets = [Target(i, pos, visits) for i, (pos, visits) in enumerate(
+        draw(st.lists(st.tuples(spots, st.integers(1, 3)), min_size=1, max_size=4)))]
+    max_time = draw(st.floats(1.0, 20.0))
+    cfg = MissionConfig(arena=SMALL_ARENA, n_robots=n_robots, max_time=max_time,
+                        seed=draw(st.integers(0, 2**32 - 1)),
+                        spawn_box=(0.0, 0.0, 10.0, 10.0))
+    return cfg, targets
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_missions())
+def test_mission_invariants_hold_after_every_step(nets, case):
+    cfg, targets = case
+    m = Mission(cfg, targets, *nets)
+    while m.world.time < cfg.max_time and any(t.live for t in m.world.targets):
+        m.step()
+        for r in m.world.robots:
+            assert SMALL_ARENA.contains(r.position)
+        for t in m.world.targets:
+            assert t.sequence_progress <= t.required_visits
+            assert len(t.visited_by) == t.sequence_progress
+            if t.required_visits > 1:
+                assert set(t.visit_sequence[:t.sequence_progress]) == t.visited_by
+            assert t.live == (t.sequence_progress < t.required_visits)
