@@ -30,16 +30,16 @@ class Allocation:
         return [r for r, t in self.assigned.items() if t == target_id]
 
 
-def build_cost_matrix(detections, self_position) -> CostMatrix:
-    """All-pairs distances between detected robots (incl. self) and targets.
+def build_cost_matrix(self_id: int, self_position, targets, neighbors) -> CostMatrix:
+    """All-pairs distances between robots (self plus `neighbors`) and `targets`.
 
-    Rows and columns are ordered by ascending id so any robot building the
-    matrix from the same information gets the identical matrix.
+    `targets` holds (id, position, required_visits) and `neighbors`
+    (id, position) entries.  Rows and columns are ordered by ascending id so
+    any robot building the matrix from the same information gets the
+    identical matrix.
     """
-    robots = sorted(
-        [(detections.robot_id, self_position)] + list(detections.visible_neighbors)
-    )
-    targets = sorted(detections.visible_targets)
+    robots = sorted([(self_id, self_position), *neighbors])
+    targets = sorted(targets)
     entries = np.zeros((len(robots), len(targets)))
     for i, (_rid, rpos) in enumerate(robots):
         for j, (_tid, tpos, _req) in enumerate(targets):
@@ -60,15 +60,24 @@ def allocate(cost: CostMatrix, capacities: dict) -> Allocation:
     when there are more robots than visit slots.  Equal-cost optima follow
     scipy's rule, which is fixed for a given matrix, so robots that share a
     view still agree: `[[5, 5], [5, 5], [1, 1]]` over targets 10 and 11
-    gives `{1: 11, 2: 10}`.
+    gives `{1: 11, 2: 10}`.  The two cases most decisions meet skip the
+    solver with its answer: no target assigns nothing, and a lone robot
+    takes the first cheapest slot, which is a slot of the first cheapest
+    target.
     """
     caps = [int(capacities.get(tid, 1)) for tid in cost.target_ids]
     for tid, cap in zip(cost.target_ids, caps):
         if cap < 1:
             raise ValueError(f"capacity for target {tid} must be >= 1")
+    alloc = Allocation()
+    if not caps:
+        return alloc
+    if len(cost.robot_ids) == 1:
+        row = cost.entries[0].tolist()
+        alloc.assigned[cost.robot_ids[0]] = cost.target_ids[row.index(min(row))]
+        return alloc
     slots = np.repeat(np.arange(len(caps)), caps)  # slot column -> target column
     rows, chosen = linear_sum_assignment(cost.entries[:, slots])
-    alloc = Allocation()
     for i, j in zip(rows, chosen):
         alloc.assigned[cost.robot_ids[i]] = cost.target_ids[slots[j]]
     return alloc

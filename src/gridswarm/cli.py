@@ -270,6 +270,8 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
         raise ValueError(f"sweep value {repeated[0]!r} is listed more than once")
     if reps < 1:
         raise ValueError("repetitions must be >= 1")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, not {jobs!r}")
     job_list = []
     idx = 0
     for value in values:
@@ -277,9 +279,12 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
         for rep in range(reps):
             job_list.append((value, rep, splitmix64(master_seed, idx), run_cfg))
             idx += 1
-    if jobs > 1:
+    # the pool forks all its workers up front, and each one loads both
+    # policies: never start more workers than there are runs
+    workers = min(jobs, len(job_list))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init,
+            max_workers=workers, initializer=_worker_init,
             initargs=(conflict_path, free_path),
         ) as pool:
             rows = list(pool.map(_worker_run, job_list, chunksize=4))
@@ -434,7 +439,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", parents=[mission], help="Monte Carlo sweep over one axis")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at least 1 (never more than the runs)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("defaults", help="print the default configuration")

@@ -9,14 +9,28 @@ Axis convention used throughout the package: column index grows with +x
 (east), row index grows with +y (north).  Row 0 / column 0 are therefore
 the south-west edge; their nodes anchor the prefix sums and cannot be
 deformed along the anchored axis (bindings there are clamped instead).
+
+Every grid of one configuration (rows, cols, spacing, arena) puts its
+nodes at the same offsets from the centroid, so `build_grid` reads the
+node keys and each node's swarm-bound verdict from a small layout cached
+per configuration; only the arena test and the few nodes that lie within
+rounding of the bound are evaluated per grid.  A grid keeps the row-major
+list of its unmasked nodes, which `deform` and `pick_search_node` filter
+by binding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 CLAMP_FRACTION = 0.49  # max gap adjustment, as a fraction of base spacing
+# A node whose config-only offset puts it within this relative distance of
+# the swarm bound is tested against the bound on every grid: its offset from
+# the float centroid can round to either side.  The rounding error of
+# `cx + off - cx` and of hypot is a few ulps of the magnitudes involved.
+_BOUND_MARGIN = 1e-12
 
 
 @dataclass
@@ -27,8 +41,9 @@ class ContextGrid:
     centroid: tuple
     d_x: list  # rows lists of cols-1 column gaps
     d_y: list  # rows-1 lists of cols row gaps
-    mask: list  # rows lists of cols bools, True = unusable
-    uniform: dict  # (row, col) -> undeformed (x, y), row-major
+    xs: list  # undeformed x of each column
+    ys: list  # undeformed y of each row
+    unmasked: list  # (node, x, y) of every usable node, row-major, undeformed
     bindings: dict = field(default_factory=dict)  # (row, col) -> (kind, id)
     node_of: dict = field(default_factory=dict)  # (kind, id) -> (row, col)
     clamped: list = field(default_factory=list)  # objects bound off-position
@@ -41,6 +56,49 @@ class ContextGrid:
         r, c = node
         return 0 <= r < self.rows and 0 <= c < self.cols
 
+    @cached_property
+    def mask(self) -> list:
+        """rows lists of cols bools, True = unusable (off-arena or off-bound)."""
+        mask = [[True] * self.cols for _ in range(self.rows)]
+        for (r, c), _x, _y in self.unmasked:
+            mask[r][c] = False
+        return mask
+
+    @property
+    def uniform(self) -> dict:
+        """(row, col) -> undeformed (x, y) of every node, row-major."""
+        return {(r, c): (x, y) for r, y in enumerate(self.ys) for c, x in enumerate(self.xs)}
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """What every grid of one configuration shares: offsets and bound verdicts."""
+
+    col_off: tuple  # x offset of each column from the centroid
+    row_off: tuple  # y offset of each row
+    inside: tuple  # (node, row, col, sure) of nodes not surely off-bound, row-major;
+    # sure=False marks a node within rounding of the bound, tested per grid
+    d_x: tuple  # the undeformed gap matrices, copied into each grid
+    d_y: tuple
+
+
+@lru_cache(maxsize=None, typed=True)
+def _layout(rows: int, cols: int, d: float, arena) -> _Layout:
+    col_off = tuple((c - cols // 2) * d for c in range(cols))
+    row_off = tuple((r - rows // 2) * d for r in range(rows))
+    bound = arena.swarm_bound_radius + 1e-9
+    inside = []
+    for r, oy in enumerate(row_off):
+        for c, ox in enumerate(col_off):
+            off = math.hypot(ox, oy)
+            margin = _BOUND_MARGIN * (arena.width + arena.height + abs(ox) + abs(oy))
+            if abs(off - bound) <= margin:
+                inside.append(((r, c), r, c, False))
+            elif off <= bound:
+                inside.append(((r, c), r, c, True))
+    return _Layout(col_off, row_off, tuple(inside),
+                   d_x=((float(d),) * (cols - 1),) * rows, d_y=((float(d),) * cols,) * (rows - 1))
+
 
 def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
     """Uniform grid around the centroid with boundary / swarm-bound masking."""
@@ -51,48 +109,45 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
     if not arena.contains(centroid):
         raise ValueError("centroid outside the arena")
     cx, cy = float(centroid[0]), float(centroid[1])
-    xs = [cx + (c - cols // 2) * d for c in range(cols)]
-    ys = [cy + (r - rows // 2) * d for r in range(rows)]
+    layout = _layout(rows, cols, d, arena)
+    xs = [cx + o for o in layout.col_off]
+    ys = [cy + o for o in layout.row_off]
     # the centroid is inside the arena, so these test one axis each
-    x_in = [arena.contains((x, cy)) for x in xs]
+    width, height = arena.width, arena.height
+    x_in = [0.0 <= x <= width for x in xs]
+    y_in = [0.0 <= y <= height for y in ys]
     bound = arena.swarm_bound_radius + 1e-9
-    uniform, mask = {}, []
-    for r, y in enumerate(ys):
-        y_in = arena.contains((cx, y))
-        row = []
-        for c, x in enumerate(xs):
-            uniform[(r, c)] = (x, y)
-            row.append(not (x_in[c] and y_in) or math.hypot(x - cx, y - cy) > bound)
-        mask.append(row)
+    unmasked = [
+        (node, xs[c], ys[r]) for node, r, c, sure in layout.inside
+        if x_in[c] and y_in[r] and (sure or math.hypot(xs[c] - cx, ys[r] - cy) <= bound)
+    ]
     return ContextGrid(
         rows=rows,
         cols=cols,
         base_spacing=d,
         centroid=(cx, cy),
-        d_x=[[float(d)] * (cols - 1) for _ in range(rows)],
-        d_y=[[float(d)] * cols for _ in range(rows - 1)],
-        mask=mask,
-        uniform=uniform,
+        d_x=[*map(list, layout.d_x)],
+        d_y=[*map(list, layout.d_y)],
+        xs=xs,
+        ys=ys,
+        unmasked=unmasked,
     )
 
 
 def node_coords(grid: ContextGrid, node) -> tuple:
     """Global coordinates of a node, prefix-summed from the gap matrices."""
     r, c = node
-    if not grid.in_range((r, c)):
+    if not (0 <= r < grid.rows and 0 <= c < grid.cols):
         raise IndexError(f"node {(r, c)} outside {grid.rows}x{grid.cols} grid")
-    rc, cc = grid.center
-    d = grid.base_spacing
-    x0 = grid.centroid[0] - cc * d
-    y0 = grid.centroid[1] - rc * d
-    # summed left to right: bit-identical to np.sum below eight gaps (grids
-    # up to 8x8); np.sum adds longer runs in eight interleaved partial sums
+    # summed left to right from the south-west node: bit-identical to np.sum
+    # below eight gaps (grids up to 8x8); np.sum adds longer runs in eight
+    # interleaved partial sums
     x = y = 0.0
     for g in grid.d_x[r][:c]:
         x += g
     for gaps in grid.d_y[:r]:
         y += gaps[c]
-    return (x0 + x, y0 + y)
+    return (grid.xs[0] + x, grid.ys[0] + y)
 
 
 def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
@@ -125,8 +180,8 @@ def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
 
 def _free_nodes(grid: ContextGrid) -> list:
     """(node, x, y) of every unmasked, unbound node, in row-major order."""
-    return [(n, x, y) for n, (x, y) in grid.uniform.items()
-            if not grid.mask[n[0]][n[1]] and n not in grid.bindings]
+    bindings = grid.bindings
+    return [e for e in grid.unmasked if e[0] not in bindings]
 
 
 def deform(grid: ContextGrid, objects) -> ContextGrid:
@@ -134,21 +189,23 @@ def deform(grid: ContextGrid, objects) -> ContextGrid:
 
     `objects` is an ordered iterable of (kind, id, position); order is the
     priority used when two objects want the same node (the caller passes
-    self first, then targets and robots in ascending id).  Objects whose
-    offset exceeds the clamp limit are bound without landing exactly and
-    recorded in `grid.clamped`.
+    self first, then targets and robots in ascending id).  Distance ties go
+    to the smallest node.  Objects whose offset exceeds the clamp limit are
+    bound without landing exactly and recorded in `grid.clamped`.
     """
     free = _free_nodes(grid)
+    hypot = math.hypot
     for kind, obj_id, pos in objects:
         if (kind, obj_id) in grid.node_of:
             raise ValueError(f"object {(kind, obj_id)} already bound")
         if not free:
             grid.clamped.append((kind, obj_id))
             continue
-        best = min(free, key=lambda e: (math.hypot(pos[0] - e[1], pos[1] - e[2]), e[0]))
-        free.remove(best)
-        node, ux, uy = best
-        exact = _apply_offset(grid, node, pos[0] - ux, pos[1] - uy)
+        px, py = pos
+        dist = [hypot(px - x, py - y) for _node, x, y in free]
+        # free is row-major, so the first minimum is the smallest tied node
+        node, ux, uy = free.pop(dist.index(min(dist)))
+        exact = _apply_offset(grid, node, px - ux, py - uy)
         grid.bindings[node] = (kind, obj_id)
         grid.node_of[(kind, obj_id)] = node
         if not exact:
@@ -157,14 +214,15 @@ def deform(grid: ContextGrid, objects) -> ContextGrid:
 
 
 def bind_snapshot(grid: ContextGrid, self_id: int, self_position,
-                  detections, target_filter=None) -> ContextGrid:
-    """Deform with the standard priority order: self, targets, neighbors."""
+                  targets, neighbors) -> ContextGrid:
+    """Deform with the standard priority order: self, targets, neighbors.
+
+    `targets` holds (id, position, required_visits) and `neighbors`
+    (id, position) entries, each in the order they are to be bound.
+    """
     objects = [("self", self_id, self_position)]
-    for tid, pos, _req in detections.visible_targets:
-        if target_filter is None or target_filter(tid, pos):
-            objects.append(("target", tid, pos))
-    for rid, pos in detections.visible_neighbors:
-        objects.append(("robot", rid, pos))
+    objects += [("target", tid, pos) for tid, pos, _req in targets]
+    objects += [("robot", rid, pos) for rid, pos in neighbors]
     return deform(grid, objects)
 
 
@@ -183,5 +241,6 @@ def pick_search_node(grid: ContextGrid, toward, rank: int) -> tuple:
         if not self_nodes:
             raise ValueError("no free node and no self binding")
         return self_nodes[0]
-    free.sort(key=lambda e: (math.hypot(e[1] - toward[0], e[2] - toward[1]), e[0]))
-    return free[int(rank) % len(free)][0]
+    tx, ty = toward
+    ranked = sorted((math.hypot(x - tx, y - ty), node) for node, x, y in free)
+    return ranked[int(rank) % len(ranked)][1]

@@ -64,30 +64,35 @@ class ScenarioLabel:
     conflict_region: Region | None = None
 
 
+def _block_start(self_node, probe_node, size: int, rows: int, cols: int) -> tuple:
+    """(row0, col0) of the block `region_toward` picks.
+
+    The squared distance from a block's centre to the probe is one term per
+    axis, so each axis clamps its probe-centred start to the starts that
+    keep self inside.  Written with comparisons: the `min`/`max` builtins
+    cost several times as much on this per-decision path.
+    """
+    (sr, sc), (pr, pc) = self_node, probe_node
+    rlo, rhi = sr - size + 1, rows - size
+    clo, chi = sc - size + 1, cols - size
+    rlo, rhi = (rlo if rlo > 0 else 0), (sr if sr < rhi else rhi)
+    clo, chi = (clo if clo > 0 else 0), (sc if sc < chi else chi)
+    if rlo > rhi or clo > chi:
+        raise ValueError("grid too small for the requested region")
+    r0, c0 = pr - size // 2, pc - size // 2
+    r0 = rlo if r0 < rlo else rhi if r0 > rhi else r0
+    c0 = clo if c0 < clo else chi if c0 > chi else c0
+    return r0, c0
+
+
 def region_toward(self_node, probe_node, size: int, rows: int, cols: int) -> Region:
     """Block of `size`^2 nodes containing self, placed toward the probe.
 
     Among all in-bounds blocks containing the self node, picks the one
     whose center is closest to the probe node; ties go to the smallest
-    (row0, col0).  The squared distance is one term per axis, so each axis
-    clamps its probe-centred start to the starts that keep self inside.
+    (row0, col0).
     """
-    starts = []
-    for s, p, n in zip(self_node, probe_node, (rows, cols)):
-        lo, hi = max(0, s - size + 1), min(s, n - size)
-        if lo > hi:
-            raise ValueError("grid too small for the requested region")
-        starts.append(min(max(p - size // 2, lo), hi))
-    return Region(*starts, size)
-
-
-def _foreign_robot_nodes(grid, region: Region):
-    out = []
-    for n in region.nodes():
-        b = grid.bindings.get(n)
-        if b is not None and b[0] == "robot":
-            out.append((n, b[1]))
-    return out
+    return Region(*_block_start(self_node, probe_node, size, rows, cols), size)
 
 
 def classify(grid, self_node, target_node) -> ScenarioLabel:
@@ -95,37 +100,44 @@ def classify(grid, self_node, target_node) -> ScenarioLabel:
 
     `target_node` is the robot's goal node (a search node counts).  Returns
     the label plus the set of nodes to treat as obstacles; on conflict the
-    2x2 region toward the conflicting robot is attached.
+    2x2 region toward the conflicting robot is attached.  One pass over the
+    bindings collects the robots and the other targets; each block is then
+    tested by its bounds.
     """
-    masked: set = set()
     rows, cols = grid.rows, grid.cols
-    reg = region_toward(self_node, target_node, 3, rows, cols)
+    goal = tuple(target_node)
+    robots, others = [], []
+    for node, (kind, oid) in grid.bindings.items():
+        if kind == "robot":
+            robots.append((node, oid))
+        elif kind == "target" and node != goal:
+            others.append(node)
 
-    candidates = []  # (node, robot_id) to run the conflict-with-robot check on
+    def robots_near(probe, size):
+        """Robots in the size x size block toward the probe."""
+        r0, c0 = _block_start(self_node, probe, size, rows, cols)
+        return [(n, rid) for n, rid in robots
+                if r0 <= n[0] < r0 + size and c0 <= n[1] < c0 + size]
 
-    other_targets = []
-    for n in reg.nodes():
-        b = grid.bindings.get(n)
-        if b is not None and b[0] == "target" and n != tuple(target_node):
-            other_targets.append((b[1], n))
-    for _tid, tnode in sorted(other_targets):
-        reg_t = region_toward(self_node, tnode, 3, rows, cols)
-        robots_near = _foreign_robot_nodes(grid, reg_t)
-        if robots_near:
-            candidates.extend(robots_near)
-        else:
-            masked.add(tnode)
+    r0, c0 = _block_start(self_node, target_node, 3, rows, cols)
+    masked: set = set()
+    # robots to run the conflict-with-robot check on: those in the goal
+    # block, and those near any other target in it; a target with no robot
+    # near it becomes an obstacle
+    candidates = set(robots_near(target_node, 3)) if robots else set()
+    for tnode in others:
+        if r0 <= tnode[0] < r0 + 3 and c0 <= tnode[1] < c0 + 3:
+            near = robots and robots_near(tnode, 3)
+            if near:
+                candidates.update(near)
+            else:
+                masked.add(tnode)
 
-    candidates.extend(_foreign_robot_nodes(grid, reg))
-
-    # each robot is bound to one node, so the set holds one entry per id
-    ordered = sorted(set(candidates),
-                     key=lambda nr: (math.dist(nr[0], self_node), nr[1]))
-
-    for rnode, rid in ordered:
-        reg2 = region_toward(self_node, rnode, 2, rows, cols)
-        if _foreign_robot_nodes(grid, reg2):
-            return ScenarioLabel(CONFLICT, masked, reg2)
+    # each robot is bound to one node, so ids break every distance tie
+    for _dist, _rid, rnode in sorted((math.dist(n, self_node), rid, n)
+                                     for n, rid in candidates):
+        if robots_near(rnode, 2):
+            return ScenarioLabel(CONFLICT, masked, region_toward(self_node, rnode, 2, rows, cols))
         masked.add(rnode)
     return ScenarioLabel(CONFLICT_FREE, masked)
 

@@ -29,7 +29,7 @@ from gridswarm import allocation as alloc_mod
 from gridswarm import context_grid as cg
 from gridswarm import motion, scenario, world as world_mod
 from gridswarm.qnet import QNetwork, act_epsilon_greedy
-from gridswarm.world import ArenaConfig, Detections, Robot, Target, WorldState
+from gridswarm.world import ArenaConfig, Robot, Target, WorldState
 
 COLLISION_RADIUS = 0.5  # meters; node-granular proximity counted as collision
 STAY_DWELL = 0.5  # seconds to hold position after a deliberate stay
@@ -116,9 +116,13 @@ class _RobotCtl:
 class Mission:
     def __init__(self, config: MissionConfig, targets, conflict_net: QNetwork,
                  free_net: QNetwork):
+        seen = set()
         for t in targets:
             if not config.arena.contains(t.position):
                 raise ValueError(f"target {t.id} outside the arena")
+            if t.id in seen:
+                raise ValueError(f"target id {t.id} is used by more than one target")
+            seen.add(t.id)
         x0, y0, w, h = config.spawn_box
         self.config = config
         self.arena = config.arena
@@ -162,66 +166,56 @@ class Mission:
 
     # -- decision phase -----------------------------------------------------
 
-    def _decide(self, robot: Robot):
-        cfg = self.config
+    def _decide(self, robot: Robot, hale):
+        """Re-plan one robot's waypoint; `hale` is the step's swarm centroid."""
+        cfg, arena = self.config, self.arena
         ctl = self.ctl[robot.id]
-        det = world_mod.sense(robot, self.world, self.arena)
-        for tid, _pos, _req in det.visible_targets:
-            self.first_detect.setdefault(tid, self.world.time)
+        det = world_mod.sense(robot, self.world, arena)
         # targets never move, so a robot's own past detections remain valid:
         # remember them, and forget one only when close enough to have seen
         # it again (it must have been neutralized meanwhile)
-        visible_ids = {tid for tid, _pos, _req in det.visible_targets}
+        memory = ctl.memory
         for tid, pos, req in det.visible_targets:
-            ctl.memory[tid] = (pos, req)
-        for tid in sorted(ctl.memory):
-            pos, _req = ctl.memory[tid]
-            if tid not in visible_ids and math.dist(robot.position, pos) \
-                    <= 0.8 * self.arena.global_sensor_range:
-                del ctl.memory[tid]
-        remembered = tuple(
-            (tid, pos, req)
-            for tid, (pos, req) in sorted(ctl.memory.items())
-            if tid not in visible_ids
-        )
-        if remembered:
-            det = Detections(det.robot_id, det.visible_targets + remembered,
-                             det.visible_neighbors, det.hale_centroid)
+            self.first_detect.setdefault(tid, self.world.time)
+            memory[tid] = (pos, req)
+        targets = det.visible_targets
+        if len(memory) > len(targets):  # some remembered target is out of view
+            visible_ids = {tid for tid, _pos, _req in targets}
+            forget = 0.8 * arena.global_sensor_range
+            remembered = []
+            for tid in sorted(memory):
+                if tid not in visible_ids:
+                    pos, req = memory[tid]
+                    if math.dist(robot.position, pos) <= forget:
+                        del memory[tid]
+                    else:
+                        remembered.append((tid, pos, req))
+            targets += tuple(remembered)
         centroid = (
-            min(max(det.hale_centroid[0], 0.0), self.arena.width),
-            min(max(det.hale_centroid[1], 0.0), self.arena.height),
+            min(max(hale[0], 0.0), arena.width),
+            min(max(hale[1], 0.0), arena.height),
         )
         targets_by_id = self.targets_by_id
         grid = cg.build_grid(centroid, cfg.grid_rows, cfg.grid_cols,
-                             cfg.grid_spacing, self.arena)
-        # a live multi-visit target stays bound even after this robot's own
-        # visit: the robot cannot serve it again, but keeping it on the grid
-        # lets the robot loiter nearby and drag the swarm centroid back into
-        # range for the peers who still can
-        cg.bind_snapshot(
-            grid, robot.id, robot.position, det,
-            target_filter=lambda tid, pos: robot.id not in targets_by_id[tid].visited_by
-            or (targets_by_id[tid].live
-                and targets_by_id[tid].required_visits > 1),
-        )
-
-        in_bound = {
-            tid: math.dist(pos, centroid) <= self.arena.swarm_bound_radius
-            for tid, pos, _ in det.visible_targets
-        }
-        allocable = tuple(
-            (tid, pos, req)
-            for tid, pos, req in det.visible_targets
-            if in_bound[tid] and robot.id not in targets_by_id[tid].visited_by
-        )
-        det_alloc = Detections(det.robot_id, allocable, det.visible_neighbors,
-                               det.hale_centroid)
-        cost = alloc_mod.build_cost_matrix(det_alloc, robot.position)
-        caps = {
-            tid: max(1, targets_by_id[tid].required_visits
-                     - targets_by_id[tid].sequence_progress)
-            for tid, _, _ in allocable
-        }
+                             cfg.grid_spacing, arena)
+        bind, allocable, caps, in_bound = [], [], {}, {}
+        for entry in targets:
+            tid, pos, _req = entry
+            tgt = targets_by_id[tid]
+            visited = robot.id in tgt.visited_by
+            # a live multi-visit target stays bound even after this robot's
+            # own visit: the robot cannot serve it again, but keeping it on
+            # the grid lets the robot loiter nearby and drag the swarm
+            # centroid back into range for the peers who still can
+            if not visited or (tgt.live and tgt.required_visits > 1):
+                bind.append(entry)
+            in_bound[tid] = math.dist(pos, centroid) <= arena.swarm_bound_radius
+            if in_bound[tid] and not visited:
+                allocable.append(entry)
+                caps[tid] = max(1, tgt.required_visits - tgt.sequence_progress)
+        cg.bind_snapshot(grid, robot.id, robot.position, bind, det.visible_neighbors)
+        cost = alloc_mod.build_cost_matrix(robot.id, robot.position, allocable,
+                                           det.visible_neighbors)
         alloc = alloc_mod.allocate(cost, caps)
 
         # commit the visit order the local allocation implies; order only
@@ -238,8 +232,9 @@ class Mission:
 
         if ctl.engaged is not None:
             eng = targets_by_id.get(ctl.engaged)
+            # in_bound has an entry for every target in view or remembered
             if (eng is not None and eng.live and robot.id not in eng.visited_by
-                    and any(tid == ctl.engaged for tid, _, _ in det.visible_targets)):
+                    and ctl.engaged in in_bound):
                 assigned = ctl.engaged
             else:
                 ctl.engaged = None
@@ -248,13 +243,7 @@ class Mission:
         ctl.assigned = assigned
 
         self_node = grid.node_of[("self", robot.id)]
-        tnode = self._goal_node(robot, grid, assigned, det, in_bound)
-
-        robot_goals = {}
-        for rid, tid in alloc.assigned.items():
-            if rid != robot.id:
-                robot_goals[rid] = grid.node_of.get(("target", tid))
-
+        tnode = self._goal_node(robot, grid, self_node, assigned, targets, in_bound)
         label = scenario.classify(grid, self_node, tnode)
         ctl.label = label.label
         if tnode == self_node:
@@ -262,6 +251,8 @@ class Mission:
         else:
             if label.label == scenario.CONFLICT:
                 net = self.conflict_net
+                robot_goals = {rid: grid.node_of.get(("target", tid))
+                               for rid, tid in alloc.assigned.items() if rid != robot.id}
                 state = scenario.encode_conflict_state(
                     label.conflict_region, grid.bindings, self_node, tnode, robot_goals
                 )
@@ -303,8 +294,8 @@ class Mission:
             ctl.deadline = self.world.time + max(leg, 1.0)
         ctl.integral = 0.0
 
-    def _goal_node(self, robot, grid, assigned, det, in_bound):
-        """Grid node the robot is ultimately trying to occupy."""
+    def _goal_node(self, robot, grid, own, assigned, targets, in_bound):
+        """Grid node the robot is ultimately trying to occupy; `own` is its node."""
         if assigned is not None and ("target", assigned) in grid.node_of:
             tnode = grid.node_of[("target", assigned)]
             tgt = self.targets_by_id[assigned]
@@ -313,29 +304,31 @@ class Mission:
                     tgt.sequence_progress < len(seq) and \
                     seq[tgt.sequence_progress] != robot.id:
                 # not our turn yet: hold on a free node next to the target
-                return self._adjacent_hold(grid, tnode)
+                return self._adjacent_hold(grid, tnode, own)
             return tnode
         # no allocated target: detected-but-out-of-bound targets act as cues
         cue = min(
             ((math.dist(robot.position, pos), tid)
-             for tid, pos, _req in det.visible_targets
+             for tid, pos, _req in targets
              if not in_bound.get(tid, True) and ("target", tid) in grid.node_of),
             default=None,
         )
         if cue is not None:
             tnode = grid.node_of[("target", cue[1])]
             if robot.id in self.targets_by_id[cue[1]].visited_by:
-                return self._adjacent_hold(grid, tnode)
+                return self._adjacent_hold(grid, tnode, own)
             return tnode
         return cg.pick_search_node(grid, self.sweep_anchors[self.sweep_idx], robot.id)
 
     @staticmethod
-    def _adjacent_hold(grid, tnode):
+    def _adjacent_hold(grid, tnode, own):
         """Own node if next to the target, else the first free neighbour, else the target."""
         around = [(tnode[0] + dr, tnode[1] + dc) for dr, dc in scenario.ACTION_DELTAS[:4]]
-        around = [n for n in around if grid.in_range(n) and not grid.mask[n[0]][n[1]]]
-        own = [n for n in around if grid.bindings.get(n, ("",))[0] == "self"]
-        return (own or [n for n in around if n not in grid.bindings] or [tnode])[0]
+        if own in around:  # a bound node is always in range and unmasked
+            return own
+        free = [n for n in around if grid.in_range(n) and not grid.mask[n[0]][n[1]]
+                and n not in grid.bindings]
+        return free[0] if free else tnode
 
     # -- motion / commit phase ----------------------------------------------
 
@@ -350,13 +343,15 @@ class Mission:
                     > SEQUENCE_TIMEOUT):
                 tgt.visit_sequence = tgt.visit_sequence[:tgt.sequence_progress]
                 self._seq_stamp.pop(tgt.id, None)
+        # the HALE broadcasts one centroid per step; no robot moves while
+        # robots decide, so it also holds for the motion below
+        centroid = world_mod.hale_centroid(self.world.robots)
         for robot in self.world.robots:
             ctl = self.ctl[robot.id]
             if ctl.waypoint is None or self.world.time >= ctl.deadline or \
                     math.dist(robot.position, ctl.waypoint) <= self.arrival:
-                self._decide(robot)
+                self._decide(robot, centroid)
 
-        centroid = world_mod.hale_centroid(self.world.robots)
         anchor = self.sweep_anchors[self.sweep_idx]
         # advance on arrival, or when nothing is progressing at all (no
         # centroid approach and no visits): robots engaged beyond the bound

@@ -90,12 +90,15 @@ class WorldState:
 
 @dataclass(frozen=True)
 class Detections:
-    """What a single robot can see: targets in r_g, neighbors in r_l, HALE."""
+    """What a single robot can see: targets in r_g, neighbors in r_l.
+
+    The swarm centroid is the HALE's one broadcast per step, not a per-robot
+    reading: see `hale_centroid` and `sim.Mission.step`.
+    """
 
     robot_id: int
     visible_targets: tuple  # (target_id, position, required_visits), sorted by id
     visible_neighbors: tuple  # (robot_id, position), sorted by id
-    hale_centroid: tuple
 
 
 def hale_centroid(robots) -> tuple:
@@ -111,23 +114,19 @@ def hale_centroid(robots) -> tuple:
 
 def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> Detections:
     """Deterministic noise-free sensing snapshot for one robot."""
-    targets = tuple(
+    pos = robot.position
+    rg, rl = arena.global_sensor_range, arena.local_sensor_range
+    targets = tuple([
         (t.id, t.position, t.required_visits)
         for t in world.targets
-        if t.live and math.dist(robot.position, t.position) <= arena.global_sensor_range
-    )
-    neighbors = tuple(
+        if t.live and math.dist(pos, t.position) <= rg
+    ])
+    neighbors = tuple([
         (r.id, r.position)
         for r in world.robots
-        if r.id != robot.id
-        and math.dist(robot.position, r.position) <= arena.local_sensor_range
-    )
-    return Detections(
-        robot_id=robot.id,
-        visible_targets=targets,
-        visible_neighbors=neighbors,
-        hale_centroid=hale_centroid(world.robots),
-    )
+        if r.id != robot.id and math.dist(pos, r.position) <= rl
+    ])
+    return Detections(robot.id, targets, neighbors)
 
 
 def try_neutralize(robot_id: int, target: Target) -> bool:

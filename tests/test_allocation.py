@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from gridswarm.allocation import (
     Allocation,
@@ -12,18 +13,11 @@ from gridswarm.allocation import (
     build_cost_matrix,
     mrt_sequence,
 )
-from gridswarm.world import Detections
 
 
-def dets(robot_id, self_pos, neighbors, targets):
-    return Detections(
-        robot_id=robot_id,
-        visible_targets=tuple(
-            (tid, pos, 1) for tid, pos in sorted(targets)
-        ),
-        visible_neighbors=tuple(sorted(neighbors)),
-        hale_centroid=(0.0, 0.0),
-    ), self_pos
+def sensed(neighbors, targets):
+    """(targets, neighbors) entries as a robot senses them: ascending id."""
+    return tuple((tid, pos, 1) for tid, pos in sorted(targets)), tuple(sorted(neighbors))
 
 
 def brute_force(entries, capacities):
@@ -48,16 +42,18 @@ def alloc_cost(alloc, cost):
 
 
 def test_cost_matrix_ordering():
-    det, pos = dets(
-        3, (0.0, 0.0),
+    targets, neighbors = sensed(
         neighbors=[(1, (10.0, 0.0))],
         targets=[(7, (0.0, 5.0)), (2, (3.0, 4.0))],
     )
-    cm = build_cost_matrix(det, pos)
+    cm = build_cost_matrix(3, (0.0, 0.0), targets, neighbors)
     assert cm.robot_ids == (1, 3)
     assert cm.target_ids == (2, 7)
     assert cm.entries[1, 0] == pytest.approx(5.0)  # robot 3 to target 2
     assert cm.entries[1, 1] == pytest.approx(5.0)
+    # no target in view: one empty row per robot
+    cm = build_cost_matrix(3, (0.0, 0.0), (), neighbors)
+    assert cm.entries.shape == (2, 0) and cm.target_ids == ()
 
 
 def test_allocate_simple_cross():
@@ -120,3 +116,44 @@ def test_allocation_matches_brute_force(n_robots, n_targets, caps, rnd):
     # capacities respected
     for tid in range(n_targets):
         assert len(a.robots_on(tid)) <= capacities[tid]
+
+
+def solver_reference(cost, capacities):
+    """The assignment scipy's solver gives on the slot matrix, for every case."""
+    caps = [int(capacities.get(tid, 1)) for tid in cost.target_ids]
+    slots = np.repeat(np.arange(len(caps)), caps)
+    rows, chosen = linear_sum_assignment(cost.entries[:, slots])
+    return {cost.robot_ids[i]: cost.target_ids[slots[j]] for i, j in zip(rows, chosen)}
+
+
+@st.composite
+def tied_costs(draw):
+    """Small integer costs, so ties are common, with capacities up to 3."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m))
+    robot_ids = tuple(sorted(draw(st.sets(st.integers(0, 20), min_size=n, max_size=n))))
+    target_ids = tuple(sorted(draw(st.sets(st.integers(0, 20), min_size=m, max_size=m))))
+    caps = {tid: draw(st.integers(1, 3)) for tid in target_ids}
+    entries = np.array(cells, dtype=float).reshape(n, m)
+    return CostMatrix(entries, robot_ids, target_ids), caps
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_costs())
+@example((CostMatrix(np.zeros((1, 0)), (4,), ()), {}))  # no target
+@example((CostMatrix(np.zeros((3, 0)), (1, 2, 3), ()), {}))
+@example((CostMatrix(np.array([[2.0, 1.0, 3.0]]), (4,), (7, 8, 9)), {}))  # lone robot
+@example((CostMatrix(np.array([[2.0, 1.0, 1.0]]), (4,), (7, 8, 9)), {8: 3, 9: 2}))  # tied slots
+@example((CostMatrix(np.ones((1, 3)), (0,), (7, 8, 9)), {7: 2, 8: 2, 9: 2}))
+def test_allocate_matches_solver_with_ties(case):
+    cost, caps = case
+    assert allocate(cost, caps).assigned == solver_reference(cost, caps)
+
+
+def test_allocate_short_cuts():
+    cm = CostMatrix(np.zeros((2, 0)), (0, 1), ())
+    assert allocate(cm, {}).assigned == {}
+    cm = CostMatrix(np.array([[4.0, 2.0, 2.0]]), (3,), (10, 11, 12))
+    assert allocate(cm, {11: 2, 12: 1}).assigned == {3: 11}
+    with pytest.raises(ValueError, match="capacity for target 11"):
+        allocate(cm, {11: 0})

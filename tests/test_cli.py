@@ -281,6 +281,54 @@ def test_sweep_parallel_matches_serial(tmp_path, policy_files):
     assert serial["rows"] == par["rows"]
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_jobs_below_one_rejected(tmp_path, policy_files, jobs):
+    with pytest.raises(ValueError, match=re.escape(f"jobs must be an integer >= 1, not {jobs}")):
+        cli.run_sweep(small_cfg(), 0, *policy_files, tmp_path / "out", jobs=jobs)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text(yaml.safe_dump(small_cfg()))
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        cli.main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"),
+                  "--jobs", str(jobs), "--policy-conflict", policy_files[0],
+                  "--policy-free", policy_files[1]])
+    assert not (tmp_path / "out").exists()
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs the jobs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        SerialPool.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("jobs, values, reps, pools", [
+    (64, [2, 3], 2, [4]),  # 4 runs: 4 workers, not 64
+    (3, [2, 3], 2, [3]),
+    (8, [2], 1, []),  # a single run needs no pool at all
+])
+def test_sweep_pool_never_exceeds_the_runs(tmp_path, policy_files, monkeypatch,
+                                           jobs, values, reps, pools):
+    cfg = small_cfg()
+    cfg["sweep"].update(values=values, repetitions=reps)
+    SerialPool.sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    got = cli.run_sweep(cfg, 7, *policy_files, tmp_path / "pool", jobs=jobs)
+    assert SerialPool.sizes == pools
+    assert got["rows"] == cli.run_sweep(cfg, 7, *policy_files, tmp_path / "ser")["rows"]
+
+
 def test_swapped_policy_files_rejected_at_load(tmp_path, policy_files):
     conflict, free = policy_files
     with pytest.raises(ValueError, match=re.escape(f"{free}: a --policy-conflict net "

@@ -14,7 +14,7 @@ from gridswarm.context_grid import (
     node_coords,
     pick_search_node,
 )
-from gridswarm.world import ArenaConfig, Detections
+from gridswarm.world import ArenaConfig
 
 
 ARENA = ArenaConfig(swarm_bound_radius=30.0)
@@ -137,19 +137,15 @@ def test_deform_bindings_unique(points):
         assert not g.mask[r][c]
 
 
-def test_bind_snapshot_priority_and_filter():
-    det = Detections(
-        robot_id=2,
-        visible_targets=((4, (50.0, 45.0), None), (6, (40.0, 45.0), None)),
-        visible_neighbors=((1, (45.0, 50.0)),),
-        hale_centroid=(45.0, 45.0),
-    )
+def test_bind_snapshot_priority():
+    targets = ((4, (50.0, 45.0), 1), (6, (45.5, 44.0), 1))
+    neighbors = ((1, (45.0, 50.0)),)
     g = fresh()
-    bind_snapshot(g, 2, (45.0, 44.0), det, target_filter=lambda tid, pos: tid != 6)
-    assert ("self", 2) in g.node_of
-    assert ("target", 4) in g.node_of
-    assert ("target", 6) not in g.node_of  # filtered out
-    assert ("robot", 1) in g.node_of
+    bind_snapshot(g, 2, (45.0, 44.0), targets, neighbors)
+    assert g.node_of[("self", 2)] == g.center  # self first: it takes the centre
+    assert g.node_of[("target", 4)] == (2, 3)
+    assert g.node_of[("target", 6)] != g.center  # nearest node already taken
+    assert g.node_of[("robot", 1)] == (3, 2)
 
 
 def test_pick_search_node_ranks_toward_anchor():
@@ -269,3 +265,46 @@ def test_node_coords_matches_np_sum(case):
         x = g.centroid[0] - cc * d + float(np.sum(g.d_x[r][:c]))
         y = g.centroid[1] - rc * d + float(np.sum([gaps[c] for gaps in g.d_y[:r]]))
         assert node_coords(g, (r, c)) == (x, y)
+
+
+# -- the cached layout: one entry per (rows, cols, spacing, arena) -----------
+
+def reference_unmasked(g, mask):
+    return [(n, *reference_uniform(g, n)) for n in
+            [(r, c) for r in range(g.rows) for c in range(g.cols)] if not mask[n]]
+
+
+def test_build_grid_layout_follows_arena_and_spacing():
+    """Alternating configurations in one process: no grid reads a stale layout."""
+    wide = ArenaConfig(width=60.0, height=120.0, swarm_bound_radius=45.0)
+    centroid = (30.0, 45.0)
+    for arena, d in [(ARENA, 15.0), (wide, 15.0), (ARENA, 10.0), (wide, 10.0)] * 2:
+        g = build_grid(centroid, 7, 7, d, arena)
+        mask = reference_mask(centroid, 7, 7, d, arena)
+        assert np.array_equal(g.mask, mask)
+        assert g.unmasked == reference_unmasked(g, mask)
+    # the two arenas mask different nodes, so a layout keyed without the
+    # arena (or the spacing) could not pass the loop above
+    assert not np.array_equal(reference_mask(centroid, 7, 7, 15.0, ARENA),
+                              reference_mask(centroid, 7, 7, 15.0, wide))
+
+
+BOUND = 45.0 + 1e-9  # the default swarm bound and the margin build_grid adds
+
+
+@pytest.mark.parametrize("d, x0", [
+    (BOUND / 3, 70.0),  # the axis nodes' offset equals the bound
+    (math.nextafter(BOUND / 3, math.inf), 140.0),  # one ulp past it
+])
+def test_build_grid_tests_nodes_on_the_bound_per_grid(d, x0):
+    """A node whose offset rounds to either side of the bound is tested on each grid."""
+    arena = ArenaConfig(width=300.0, height=90.0)  # bound 45 m
+    verdicts = set()
+    for i in range(200):
+        centroid = (x0 + i * 0.0137, 45.0)
+        g = build_grid(centroid, 7, 7, d, arena)
+        mask = reference_mask(centroid, 7, 7, d, arena)
+        assert np.array_equal(g.mask, mask)
+        assert g.unmasked == reference_unmasked(g, mask)
+        verdicts.add(g.mask[3][6])  # the east axis node
+    assert verdicts == {True, False}

@@ -23,6 +23,13 @@ RUN_DIGESTS = {
     "trajectory.csv": "e63f9cd09549f919e0482eddefc4e57ee0f0876a305cf87e4ed7e30ff5e6bc80",
     "summary.json": "cc4a8fecad24057cbfb3a47d34df4e2eceb3269322135f205019cd56ce892892",
 }
+# `run` with 9 robots, clustered targets and 60 % multi-visit over 30 s: it
+# reaches conflicts, masked nodes, neighbours and multi-slot allocations,
+# which the 3-robot run above rarely does
+CROWDED_RUN_DIGESTS = {
+    "trajectory.csv": "4783d42f2076436bd1af43502ee8aef5a53333c5c3afc854220e1234b3d0d208",
+    "summary.json": "156f2219b8fea0a238ae0ef27f91a84ac044d8c6aa49739fcc022b9457d94f96",
+}
 TRAIN_DIGESTS = {
     "free.qnet": "c25d39da87d0f36566030afc1f42f9ae1bdeaded8a04b35b734a87a674cfe2fa",
     "conflict.qnet": "663e957c77a445020cfbe4267defc347b03e65ab35e47a37e3024a572795029a",
@@ -61,20 +68,36 @@ def golden_inputs(tmp_path_factory):
     cfg["targets"]["total"] = 4
     cfg["sweep"] = {"axis": "robots", "values": [2, 3], "repetitions": 2}
     (d / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+    crowded = cli.load_config(None)
+    crowded["max_time"] = 30.0
+    crowded["robots"] = 9
+    crowded["targets"]["kind"] = "clustered"
+    crowded["targets"]["mrt_fraction"] = 0.6
+    (d / "crowded.yaml").write_text(yaml.safe_dump(crowded))
     policies = ["--policy-conflict", str(d / "c.qnet"), "--policy-free", str(d / "f.qnet")]
-    return d, ["--config", str(d / "cfg.yaml")] + policies
+    return d, policies
 
 
 def test_sweep_digests(golden_inputs):
-    d, args = golden_inputs
-    cli.main(["sweep", "--seed", "11", "--out", str(d / "sweep")] + args)
+    d, policies = golden_inputs
+    cli.main(["sweep", "--seed", "11", "--out", str(d / "sweep"),
+              "--config", str(d / "cfg.yaml")] + policies)
     assert {name: sha256(d / "sweep" / name) for name in SWEEP_DIGESTS} == SWEEP_DIGESTS
 
 
 def test_run_digests(golden_inputs):
-    d, args = golden_inputs
-    cli.main(["run", "--seed", "5", "--out", str(d / "run")] + args)
+    d, policies = golden_inputs
+    cli.main(["run", "--seed", "5", "--out", str(d / "run"),
+              "--config", str(d / "cfg.yaml")] + policies)
     assert {name: sha256(d / "run" / name) for name in RUN_DIGESTS} == RUN_DIGESTS
+
+
+def test_crowded_run_digests(golden_inputs):
+    d, policies = golden_inputs
+    cli.main(["run", "--seed", "5", "--out", str(d / "crowded"),
+              "--config", str(d / "crowded.yaml")] + policies)
+    assert {name: sha256(d / "crowded" / name)
+            for name in CROWDED_RUN_DIGESTS} == CROWDED_RUN_DIGESTS
 
 
 def test_training_digests(tmp_path):

@@ -12,6 +12,7 @@ from gridswarm.scenario import (
     CONFLICT,
     CONFLICT_FREE,
     Region,
+    ScenarioLabel,
     action_mask_bounds,
     action_mask_grid,
     classify,
@@ -143,6 +144,74 @@ def test_classify_masks_other_target_without_robots():
     label = classify(g, g.node_of[("self", 0)], g.node_of[("target", 1)])
     assert label.label == CONFLICT_FREE
     assert g.node_of[("target", 2)] in label.masked_nodes
+
+
+# -- classify against a reference: the walk over every node of every region --
+
+def _foreign_robot_nodes(grid, region):
+    out = []
+    for n in region.nodes():
+        b = grid.bindings.get(n)
+        if b is not None and b[0] == "robot":
+            out.append((n, b[1]))
+    return out
+
+
+def reference_classify(grid, self_node, target_node):
+    masked = set()
+    rows, cols = grid.rows, grid.cols
+    reg = region_toward(self_node, target_node, 3, rows, cols)
+    candidates = []
+    other_targets = []
+    for n in reg.nodes():
+        b = grid.bindings.get(n)
+        if b is not None and b[0] == "target" and n != tuple(target_node):
+            other_targets.append((b[1], n))
+    for _tid, tnode in sorted(other_targets):
+        reg_t = region_toward(self_node, tnode, 3, rows, cols)
+        robots_near = _foreign_robot_nodes(grid, reg_t)
+        if robots_near:
+            candidates.extend(robots_near)
+        else:
+            masked.add(tnode)
+    candidates.extend(_foreign_robot_nodes(grid, reg))
+    ordered = sorted(set(candidates), key=lambda nr: (math.dist(nr[0], self_node), nr[1]))
+    for rnode, _rid in ordered:
+        reg2 = region_toward(self_node, rnode, 2, rows, cols)
+        if _foreign_robot_nodes(grid, reg2):
+            return ScenarioLabel(CONFLICT, masked, reg2)
+        masked.add(rnode)
+    return ScenarioLabel(CONFLICT_FREE, masked)
+
+
+@st.composite
+def crowded_grids(draw):
+    """A deformed grid with self, targets and robots bound, and a goal node."""
+    rows, cols = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    d = draw(st.sampled_from([7.5, 10.0, 15.0]))
+    centroid = (draw(st.floats(20.0, 70.0)), draw(st.floats(20.0, 70.0)))
+    point = st.tuples(st.floats(0.0, 90.0), st.floats(0.0, 90.0))
+    objects = [("self", 0, draw(point))]
+    objects += [("target", i, p) for i, p in enumerate(draw(st.lists(point, max_size=6)))]
+    objects += [("robot", i, p) for i, p in enumerate(draw(st.lists(point, max_size=8)), 1)]
+    g = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
+    goal = (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))
+    if draw(st.booleans()):  # or the node of a bound target, as missions pass
+        targets = sorted(n for n, b in g.bindings.items() if b[0] == "target")
+        goal = draw(st.sampled_from(targets)) if targets else goal
+    return g, goal
+
+
+@settings(max_examples=400, deadline=None)
+@given(crowded_grids())
+def test_classify_matches_region_walk_reference(case):
+    g, goal = case
+    self_node = g.node_of[("self", 0)]
+    got = classify(g, self_node, goal)
+    want = reference_classify(g, self_node, goal)
+    assert got.label == want.label
+    assert got.masked_nodes == want.masked_nodes
+    assert got.conflict_region == want.conflict_region
 
 
 def test_free_state_signs():

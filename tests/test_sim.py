@@ -56,6 +56,13 @@ def test_config_float_fields_must_be_finite(config, field, value):
         config(**{field: value})
 
 
+def test_duplicate_target_ids_rejected(nets):
+    # one id for two targets would make every lookup by id resolve to one of them
+    twins = [Target(0, (30.0, 30.0), 1), Target(0, (60.0, 60.0), 1)]
+    with pytest.raises(ValueError, match="target id 0 is used by more than one target"):
+        Mission(MissionConfig(), twins, *nets)
+
+
 def test_pi_integral_must_start_at_zero():
     # each decision restarts the integral at 0.0, so a start value would be ignored
     with pytest.raises(ValueError, match=r"^pi\.integral_error must be 0\.0"):
