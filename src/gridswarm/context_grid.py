@@ -104,8 +104,8 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
     """Uniform grid around the centroid with boundary / swarm-bound masking."""
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2x2 nodes")
-    if d <= 0:
-        raise ValueError("base spacing must be positive")
+    if not 0.0 < d < math.inf:  # False for NaN as well
+        raise ValueError(f"base spacing must be positive and finite, not {d}")
     if not arena.contains(centroid):
         raise ValueError("centroid outside the arena")
     cx, cy = float(centroid[0]), float(centroid[1])

@@ -8,11 +8,23 @@ softmax whose entries are read directly as Q-values.
 
 Everything is numpy float64 and hand-backpropagated so gradients can be
 checked against finite differences.
+
+Each net keeps its weights in one flat buffer and its gradients in a second
+of the same layout, and one workspace of preallocated buffers per batch size
+that both passes write into.  What a caller gets back lives as follows:
+
+- q from `forward_cached` (and `forward`) is a fresh array;
+- the layer inputs `hs` from `forward_cached` belong to the net and hold
+  until its next pass at the same batch size;
+- the gradients from `backward` (and `td_loss`) are views into the net's
+  gradient buffer and hold until its next `backward`; `sgd_step` scales
+  them by the learning rate in place.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -73,12 +85,33 @@ class NetworkSpec:
 
 
 class QNetwork:
-    """Weights plus forward/backward passes for one NetworkSpec."""
+    """Weights plus forward/backward passes for one NetworkSpec.
+
+    Every weight matrix is a view into one flat float64 buffer, in the order
+    of `spec.weight_shapes()`, and every gradient a view of the same layout
+    into a second one, so an SGD step and a target sync are a call or two
+    each.  Write into a `weights` entry in place: a net one of whose entries
+    was rebound refuses to run a pass, step or sync.
+
+    The buffer lifetimes are in the module docstring.
+    """
 
     def __init__(self, spec: NetworkSpec, weights: list):
+        shapes = spec.weight_shapes()
+        found = [np.shape(w) for w in weights]
+        if found != shapes:
+            raise ValueError(f"weight shapes {found}, {spec} needs {shapes}")
         self.spec = spec
-        self.weights = weights  # one (out, in+1) matrix per layer + output
-        self._inputs = {}  # batch size -> one (B, in+1) input buffer per layer
+        self._flat = np.empty(sum(rows * cols for rows, cols in shapes))
+        self._grad_flat = np.zeros_like(self._flat)
+        self._views = _split(self._flat, shapes)
+        for view, w in zip(self._views, weights):
+            view[...] = w
+        self.weights = list(self._views)  # one (out, in+1) matrix per layer + output
+        self._grads = _split(self._grad_flat, shapes)
+        self._transposed = [w.T for w in self._views]
+        self._unbiased = [w[:, :-1] for w in self._views]
+        self._work = {}  # batch size -> _Workspace
 
     @classmethod
     def initialize(cls, spec: NetworkSpec, rng) -> "QNetwork":
@@ -89,16 +122,20 @@ class QNetwork:
         return cls(spec, weights)
 
     def copy(self) -> "QNetwork":
-        return QNetwork(self.spec, [w.copy() for w in self.weights])
+        """A net with the same weights in its own buffers."""
+        return QNetwork(self.spec, self.weights)
 
-    def _layer_inputs(self, batch: int) -> list:
-        """The augmented inputs of every layer at one batch size; the last
-        column of each stays 1.0, the bias input."""
-        inputs = self._inputs.get(batch)
-        if inputs is None:
-            inputs = [np.ones((batch, cols)) for _, cols in self.spec.weight_shapes()]
-            self._inputs[batch] = inputs
-        return inputs
+    def _check_weights(self):
+        """Raise unless every `weights` entry is still its view of the flat buffer."""
+        views = self._views
+        if len(self.weights) != len(views) or any(map(operator.is_not, self.weights, views)):
+            raise ValueError("a weights entry was rebound; write into it in place")
+
+    def _workspace(self, batch: int) -> "_Workspace":
+        work = self._work.get(batch)
+        if work is None:
+            work = self._work[batch] = _Workspace(self, batch)
+        return work
 
     def forward_cached(self, states: np.ndarray):
         """Batch forward pass; returns (q, augmented layer inputs).
@@ -115,23 +152,23 @@ class QNetwork:
             raise ValueError(
                 f"state width {s.shape[1]} != input_dim {self.spec.input_dim}"
             )
-        hs = self._layer_inputs(s.shape[0])
-        hs[0][:, :-1] = s
-        skip = self.spec.skip_concat
-        for layer, width in enumerate(self.spec.hidden_widths, start=1):
-            pre = hs[layer - 1] @ self.weights[layer - 1].T
-            h = hs[layer][:, :width]
-            if self.spec.is_linear(layer):
-                h[...] = pre
+        self._check_weights()
+        work = self._workspace(s.shape[0])
+        np.copyto(work.states, s)
+        # outputs are passed positionally: an out= keyword costs a parse per call
+        for x, wt, pre, h, skip_to in work.layers:
+            if pre is None:  # the linear layer writes its activations in place
+                np.matmul(x, wt, h)
             else:
-                np.tanh(pre, out=h)
-            if skip is not None and layer == skip[0]:
-                hs[skip[1] - 1][:, -width - 1:-1] = h
-        z = hs[-1] @ self.weights[-1].T
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        q = e / e.sum(axis=1, keepdims=True)
-        return q, hs
+                np.matmul(x, wt, pre)
+                np.tanh(pre, h)
+            if skip_to is not None:
+                np.copyto(skip_to, h)
+        z, row = work.logits, work.row
+        np.matmul(work.inputs[-1], self._transposed[-1], z)
+        np.subtract(z, np.maximum.reduce(z, 1, None, row, True), z)
+        np.exp(z, z)
+        return z / np.add.reduce(z, 1, None, row, True), work.inputs
 
     def forward(self, state: np.ndarray) -> np.ndarray:
         q, _ = self.forward_cached(state)
@@ -139,64 +176,147 @@ class QNetwork:
 
     def backward(self, q: np.ndarray, hs: list, actions: np.ndarray,
                  coeff: np.ndarray) -> list:
-        """Gradients of sum_b coeff[b] * Q(s_b, a_b) w.r.t. every weight."""
-        B = q.shape[0]
-        widths = self.spec.hidden_widths
-        n_hidden = len(widths)
-        qa = q[np.arange(B), actions]
-        delta_out = -coeff[:, None] * qa[:, None] * q  # softmax jacobian row
-        delta_out[np.arange(B), actions] += coeff * qa
-        grads = [None] * len(self.weights)
-        grads[-1] = delta_out.T @ hs[-1]
-        # accumulated dL/dh for each hidden layer (1-based indexing into hs)
-        dh = [None] * (n_hidden + 1)
-        dh[n_hidden] = delta_out @ self.weights[-1][:, :-1]
-        for layer in range(n_hidden, 0, -1):
-            d = dh[layer]
-            if not self.spec.is_linear(layer):
-                d = d * (1.0 - hs[layer][:, :widths[layer - 1]] ** 2)
-            grads[layer - 1] = d.T @ hs[layer - 1]
-            dinp = d @ self.weights[layer - 1][:, :-1]
-            if layer == 1:
-                continue
-            prev_w = widths[layer - 2]
-            _accum(dh, layer - 1, dinp[:, :prev_w])
-            if self.spec.skip_concat is not None and layer == self.spec.skip_concat[1]:
-                src = self.spec.skip_concat[0]
-                _accum(dh, src, dinp[:, prev_w:])
-        return grads
+        """Gradients of sum_b coeff[b] * Q(s_b, a_b) w.r.t. every weight.
+
+        `q` and `hs` come from this net's last pass at their batch size, and
+        each action lies in range(output_dim).  The gradients are views into
+        the net's flat gradient buffer, valid until its next `backward`;
+        `sgd_step` scales them in place.
+        """
+        work = self._work.get(q.shape[0])
+        if work is None or hs is not work.inputs:
+            raise ValueError("hs must be the layer inputs of this net's last pass")
+        delta = work.delta_out
+        # flat index of each (b, a_b); an action outside the row raises
+        taken = np.ravel_multi_index((work.rows, actions), q.shape)
+        # the softmax jacobian row of each sample, times coeff[b] * qa[b]
+        np.multiply(coeff, q.take(taken), work.cqa)
+        np.multiply(work.cqa_col, q, delta)
+        np.negative(delta, delta)
+        work.delta_flat[taken] += work.cqa
+        np.matmul(delta.T, hs[-1], self._grads[-1])
+        np.matmul(delta, self._unbiased[-1], work.dh_out)
+        for dh, skip_dh, summed, h, deriv, d, d_t, x, grad, unbiased, dinp in work.back:
+            if skip_dh is not None:
+                np.add(dh, skip_dh, summed)
+                dh = summed
+            if deriv is not None:  # a tanh layer: d = dh * (1 - h**2)
+                np.square(h, deriv)
+                np.subtract(1.0, deriv, deriv)
+                np.multiply(dh, deriv, deriv)
+            np.matmul(d_t, x, grad)
+            if dinp is not None:
+                np.matmul(d, unbiased, dinp)
+        return self._grads
+
+    def sgd_step(self, lr: float):
+        """w -= lr * g for every weight and the gradients of the last
+        `backward`: the bits of that loop, in two calls over the flat
+        buffers (g *= lr, then w -= g), so the gradients are left scaled."""
+        self._check_weights()
+        g = self._grad_flat
+        g *= lr
+        self._flat -= g
 
 
-def _accum(dh: list, idx: int, val: np.ndarray):
-    dh[idx] = val if dh[idx] is None else dh[idx] + val
+def _split(flat: np.ndarray, shapes: list) -> list:
+    """Consecutive C-ordered views of `flat`, one per shape."""
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(flat[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return views
+
+
+class _Workspace:
+    """Every buffer and view both passes of one net need at one batch size.
+
+    `layers` drives the forward pass, one entry per hidden layer: (input,
+    transposed weights, pre-activation buffer or None on the linear layer,
+    activation view, view of the concatenation input the activation is
+    copied into, or None).
+
+    `back` drives the backward pass, last hidden layer first: (dL/dh, the
+    skip part of dL/dh or None, buffer for their sum, activation view,
+    tanh-derivative buffer or None on the linear layer, d = dL/d pre-
+    activation and its transpose, input, gradient view, weights without the
+    bias column, dL/d input buffer or None on layer 1).  Each dL/dh part is
+    a column block of a later layer's dL/d input, summed in the order the
+    layers are visited.
+    """
+
+    def __init__(self, net: QNetwork, batch: int):
+        spec = net.spec
+        widths = spec.hidden_widths
+        n = len(widths)
+        skip = spec.skip_concat
+        self.rows = np.arange(batch)
+        self.inputs = [np.ones((batch, cols)) for _, cols in spec.weight_shapes()]
+        self.states = self.inputs[0][:, :-1]
+        self.logits = np.empty((batch, spec.output_dim))
+        self.row = np.empty((batch, 1))  # the max, then the sum, of each logit row
+        self.cqa_col = np.empty((batch, 1))  # coeff[b] * q[b, a_b]
+        self.cqa = self.cqa_col[:, 0]
+        self.delta_out = np.empty((batch, spec.output_dim))
+        self.delta_flat = self.delta_out.reshape(-1)
+        self.dh_out = np.empty((batch, widths[-1]))
+        acts = [None] + [self.inputs[k][:, :w] for k, w in enumerate(widths, start=1)]
+        self.layers = []
+        for k, w in enumerate(widths, start=1):
+            skip_to = (self.inputs[skip[1] - 1][:, -w - 1:-1]
+                       if skip is not None and k == skip[0] else None)
+            pre = None if spec.is_linear(k) else np.empty((batch, w))
+            self.layers.append((self.inputs[k - 1], net._transposed[k - 1], pre, acts[k],
+                                skip_to))
+        dinps = {k: np.empty((batch, spec.layer_input_width(k))) for k in range(2, n + 1)}
+        parts = {n: [self.dh_out]}
+        for k in range(n, 1, -1):
+            prev = widths[k - 2]
+            parts.setdefault(k - 1, []).append(dinps[k][:, :prev])
+            if skip is not None and k == skip[1]:
+                parts.setdefault(skip[0], []).append(dinps[k][:, prev:])
+        self.back = []
+        for k in range(n, 0, -1):
+            w = widths[k - 1]
+            dh, skip_dh = parts[k] if len(parts[k]) == 2 else (parts[k][0], None)
+            summed = None if skip_dh is None else np.empty((batch, w))
+            deriv = None if spec.is_linear(k) else np.empty((batch, w))
+            d = deriv if deriv is not None else summed if summed is not None else dh
+            self.back.append((dh, skip_dh, summed, acts[k], deriv, d, d.T,
+                              self.inputs[k - 1], net._grads[k - 1], net._unbiased[k - 1],
+                              dinps.get(k)))
 
 
 def sync_target(net: QNetwork, target_net: QNetwork) -> QNetwork:
     if net.spec != target_net.spec:
         raise ValueError("spec mismatch between online and target networks")
-    for wt, w in zip(target_net.weights, net.weights):
-        np.copyto(wt, w)
+    net._check_weights()
+    target_net._check_weights()
+    np.copyto(target_net._flat, net._flat)
     return target_net
 
 
 def td_loss(net: QNetwork, target_net: QNetwork, batch: dict, gamma: float):
     """Mean squared TD error over a batch plus its weight gradients.
 
+    Runs one pass of each net at the batch size and one `backward` of
+    `net`; the gradients are that backward's views.
+
     The max in the bootstrap term runs over the actions available at s'
     only and is zeroed on terminal transitions.
     """
     s, a, r = batch["s"], batch["a"], batch["r"]
-    if len(a) == 0:
+    n = len(a)
+    if n == 0:
         raise ValueError("empty batch")
     q2 = target_net.forward_cached(batch["s2"])[0]
     q2 = np.where(batch["avail2"], q2, -np.inf)
-    max_q2 = np.where(batch["terminal"], 0.0, q2.max(axis=1))
+    max_q2 = np.where(batch["terminal"], 0.0, np.maximum.reduce(q2, axis=1))
     y = r + gamma * max_q2
     q, hs = net.forward_cached(s)
-    qa = q[np.arange(len(a)), a]
-    err = y - qa
-    loss = float(np.mean(err**2))
-    coeff = -2.0 * err / len(a)
+    err = y - q[np.arange(n), a]
+    loss = float(np.add.reduce(err * err)) / n  # the bits of np.mean(err**2)
+    coeff = -2.0 * err / n
     grads = net.backward(q, hs, np.asarray(a), coeff)
     return loss, grads
 
@@ -295,8 +415,13 @@ class TrainerConfig:
 
     def __post_init__(self):
         reject_non_finite(self)
-        if not (0.0 <= self.eps_end <= 1.0):
-            raise ValueError("eps_end must lie in [0, 1]")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must be positive, not {self.learning_rate}")
+        for name in ("eps_end", "eps_decay_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)}")
+        if self.lr_end_scale < 0.0:
+            raise ValueError(f"lr_end_scale must not be negative, not {self.lr_end_scale}")
         if not 1 <= self.reward_block <= self.episodes:
             raise ValueError(f"episodes ({self.episodes}) must cover at least one "
                              f"reward_block ({self.reward_block})")
@@ -344,7 +469,8 @@ class ReplayBuffer:
 
     def sample(self, n: int, rng) -> dict:
         idx = rng.integers(self.size, size=n)
-        return {name: column[idx] for name, column in zip(self.FIELDS, self.columns)}
+        # take copies the rows of a 2-D column in a third of the time of column[idx]
+        return {name: column.take(idx, 0) for name, column in zip(self.FIELDS, self.columns)}
 
 
 class ConflictGame:
@@ -506,9 +632,8 @@ def _train(net: QNetwork, config: TrainerConfig, rng, game, play):
         if len(buffer) < BATCH_SIZE:
             return
         batch = buffer.sample(BATCH_SIZE, rng)
-        _loss, grads = td_loss(net, target, batch, GAMMA)
-        for w, g in zip(net.weights, grads):
-            w -= lr * g
+        td_loss(net, target, batch, GAMMA)
+        net.sgd_step(lr)
         updates += 1
         if updates % TARGET_SYNC_PERIOD == 0:
             sync_target(net, target)

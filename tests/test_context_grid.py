@@ -47,6 +47,12 @@ def test_mask_arena_boundary():
     assert not g.mask[2][2]
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_spacing_must_be_positive_and_finite(d):
+    with pytest.raises(ValueError, match="base spacing must be positive and finite"):
+        build_grid((45.0, 45.0), 7, 7, d, ArenaConfig())
+
+
 def test_centroid_outside_arena_rejected():
     with pytest.raises(ValueError):
         build_grid((-1.0, 45.0), 5, 5, 15.0, ARENA)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridswarm import qnet
+from gridswarm import cli, qnet
 from gridswarm.qnet import (
     ConflictGame,
     FreeGame,
@@ -100,6 +100,13 @@ class TestGradients:
             num = (up - dn) / (2 * eps)
             ana = grads[li][i, j]
             assert abs(num - ana) <= 1e-4 * max(1.0, abs(num), abs(ana))
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_backward_rejects_an_action_outside_the_output(self, bad):
+        net = make(NetworkSpec.free())
+        q, hs = net.forward_cached(np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            net.backward(q, hs, np.array([0, bad, 4]), np.ones(3))
 
     def test_td_loss_decreases_under_sgd(self):
         rng = np.random.default_rng(0)
@@ -236,8 +243,19 @@ class TestReplayAndConfig:
         assert cfg.epsilon(999) == pytest.approx(0.05)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="eps_end"):
-            TrainerConfig(eps_end=2.0)
+        for field, value in [("eps_end", 2.0), ("eps_end", -0.1),
+                             ("learning_rate", -1.0), ("learning_rate", 0.0),
+                             ("eps_decay_fraction", -0.5), ("eps_decay_fraction", 1.5),
+                             ("lr_end_scale", -2.0)]:
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize("kw", [
+        {}, cli.CONFLICT_TRAIN_DEFAULTS, cli.FREE_TRAIN_DEFAULTS,
+        {"eps_decay_fraction": 0.0}, {"eps_decay_fraction": 1.0}, {"lr_end_scale": 0.0},
+    ], ids=["dataclass", "conflict", "free", "no-decay", "all-decay", "zero-end-rate"])
+    def test_config_accepts_shipped_and_edge_values(self, kw):
+        TrainerConfig(**kw)
 
     def test_sync_target_copies(self):
         net = make(NetworkSpec.free(), seed=1)
@@ -342,3 +360,41 @@ def test_training_is_deterministic_in_seed():
     assert log1 == log2
     for a, b in zip(net1.weights, net2.weights):
         assert np.array_equal(a, b)
+
+
+def test_every_sgd_update_passes_the_step_sites(monkeypatch):
+    """Each update runs qnet.td_loss once (looked up as a module global),
+    which runs one backward and two batch-32 passes: the names the
+    benchmark's step clock stamps and its spans probe.  An update that
+    bypassed them would leave the benchmark timing nothing."""
+    cfg = TrainerConfig(**dict(cli.CONFLICT_TRAIN_DEFAULTS, episodes=100))
+    want_net, want_log = qnet.train_conflict_selfplay(cfg, seed=4)
+    calls = {"td_loss": 0, "backward": 0, "passes": [], "push": 0, "sgd_step": 0}
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    forward_cached = QNetwork.forward_cached
+
+    def counting_forward(net, states):
+        calls["passes"].append(np.atleast_2d(states).shape[0])
+        return forward_cached(net, states)
+
+    monkeypatch.setattr(qnet, "td_loss", counting("td_loss", qnet.td_loss))
+    monkeypatch.setattr(QNetwork, "backward", counting("backward", QNetwork.backward))
+    monkeypatch.setattr(QNetwork, "forward_cached", counting_forward)
+    monkeypatch.setattr(QNetwork, "sgd_step", counting("sgd_step", QNetwork.sgd_step))
+    monkeypatch.setattr(ReplayBuffer, "push", counting("push", ReplayBuffer.push))
+    net, log = qnet.train_conflict_selfplay(cfg, seed=4)
+    # one update per transition once the ring holds a batch
+    updates = calls["push"] - (qnet.BATCH_SIZE - 1)
+    assert updates > 500
+    assert calls["td_loss"] == calls["backward"] == calls["sgd_step"] == updates
+    assert calls["passes"].count(qnet.BATCH_SIZE) == 2 * updates
+    assert set(calls["passes"]) == {1, qnet.BATCH_SIZE}  # the rest are single acts
+    assert log == want_log  # the wrappers change nothing
+    for w, want in zip(net.weights, want_net.weights):
+        assert w.tobytes() == want.tobytes()

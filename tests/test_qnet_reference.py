@@ -2,15 +2,20 @@
 
 The references are the straightforward forms: every layer input built by
 `np.concatenate` with a column of ones, and replay kept as a list of
-transition tuples.  The shipped code reuses each net's preallocated layer
-buffers and keeps replay in numpy columns; both must produce the same bytes,
-so trained weights do not move.
+transition tuples, and an SGD step is `w -= lr * g` on every matrix.  The
+shipped code reuses each net's preallocated per-batch workspace, keeps its
+weights and gradients in flat buffers that one fused step updates, and keeps
+replay in numpy columns; all must produce the same bytes, so trained
+weights do not move.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gridswarm.qnet import NetworkSpec, QNetwork, ReplayBuffer, td_loss
+import pytest
+
+from gridswarm import qnet
+from gridswarm.qnet import NetworkSpec, QNetwork, ReplayBuffer, sync_target, td_loss
 
 SPECS = {"conflict": NetworkSpec.conflict(), "free": NetworkSpec.free()}
 batch_sizes = st.lists(st.integers(1, 40), min_size=1, max_size=6)
@@ -197,6 +202,83 @@ def test_copy_shares_no_layer_buffers(name, seed, B):
     _q, hs = net.forward_cached(s)
     target.forward_cached(s2)
     assert_layers_match(net, hs, ref_forward_cached(net, s)[1])
+
+
+# -- the flat weight and gradient buffers ------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), seeds, batch_sizes,
+       st.lists(st.floats(1e-4, 0.5), min_size=6, max_size=6))
+def test_trainer_update_matches_reference(name, seed, sizes, rates):
+    """The trainer's own update, td_loss then the flat sgd_step, with
+    sync_target now and then, keeps the weights of the reference's
+    w -= lr * g on every matrix byte for byte."""
+    spec = SPECS[name]
+    rng = np.random.default_rng(seed)
+    net = QNetwork.initialize(spec, rng)
+    target = net.copy()
+    ref_net, ref_target = net.copy(), net.copy()
+    for step, (B, lr) in enumerate(zip(sizes, rates)):
+        batch = random_batch(rng, spec, B)
+        loss, _grads = td_loss(net, target, batch, gamma=0.9)
+        net.sgd_step(lr)
+        ref_loss, ref_grads = ref_td_loss(ref_net, ref_target, batch, gamma=0.9)
+        for w, g in zip(ref_net.weights, ref_grads):
+            w -= lr * g
+        assert loss == ref_loss
+        for w, ref_w in zip(net.weights, ref_net.weights):
+            assert_same(w, ref_w)
+        if step % 2:
+            sync_target(net, target)
+            for wt, w in zip(ref_target.weights, ref_net.weights):
+                np.copyto(wt, w)
+            for wt, ref_wt in zip(target.weights, ref_target.weights):
+                assert_same(wt, ref_wt)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_copy_shares_no_weight_or_gradient_memory(name):
+    spec = SPECS[name]
+    rng = np.random.default_rng(5)
+    net = QNetwork.initialize(spec, rng)
+    twin = net.copy()
+    batch = random_batch(rng, spec, 8)
+    _loss, grads = td_loss(net, net.copy(), batch, gamma=0.9)
+    _loss, twin_grads = td_loss(twin, twin.copy(), batch, gamma=0.9)
+    for a, b in zip(net.weights + grads, twin.weights + twin_grads):
+        assert not np.shares_memory(a, b)
+    before = [w.copy() for w in net.weights]
+    twin.sgd_step(0.1)  # steps the copy only
+    for w, kept in zip(net.weights, before):
+        assert_same(w, kept)
+    for g, twin_g in zip(grads, twin_grads):
+        assert not np.array_equal(g, twin_g)
+
+
+def test_rebound_weights_entry_is_refused(tmp_path):
+    """A rebound entry would leave the flat buffer the trainer steps stale:
+    training raises before any weight moves, and saving still works."""
+    spec = SPECS["free"]
+    net = QNetwork.initialize(spec, np.random.default_rng(2))
+    flat_view = net.weights[1]
+    net.weights[1] = flat_view.copy()  # same values, memory of its own
+    rebound, kept = net.weights[1].copy(), flat_view.copy()
+    config = qnet.TrainerConfig(episodes=50, reward_block=10)
+    with pytest.raises(ValueError, match="rebound"):
+        qnet._train(net, config, np.random.default_rng(0), qnet.FreeGame(), qnet._free_episode)
+    assert_same(flat_view, kept)
+    assert_same(net.weights[1], rebound)
+    for call in (lambda: net.forward_cached(np.zeros((3, 2))),
+                 lambda: net.sgd_step(0.1),
+                 lambda: sync_target(net, net.copy()),
+                 lambda: sync_target(net.copy(), net)):
+        with pytest.raises(ValueError, match="rebound"):
+            call()
+    assert_same(flat_view, kept)
+    qnet.save_weights(net, tmp_path / "w.qnet")
+    loaded = qnet.load_weights(tmp_path / "w.qnet")
+    for w, want in zip(loaded.weights, net.weights):
+        assert_same(w, want)
 
 
 # -- replay ------------------------------------------------------------------
