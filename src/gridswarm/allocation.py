@@ -33,21 +33,20 @@ class Allocation:
 def build_cost_matrix(self_id: int, self_position, targets, neighbors) -> CostMatrix:
     """All-pairs distances between robots (self plus `neighbors`) and `targets`.
 
-    `targets` holds (id, position, required_visits) and `neighbors`
-    (id, position) entries.  Rows and columns are ordered by ascending id so
-    any robot building the matrix from the same information gets the
-    identical matrix.
+    `targets` and `neighbors` hold (id, position) entries.  Rows and
+    columns are ordered by ascending id so any robot building the matrix
+    from the same information gets the identical matrix.
     """
     robots = sorted([(self_id, self_position), *neighbors])
     targets = sorted(targets)
     entries = np.zeros((len(robots), len(targets)))
     for i, (_rid, rpos) in enumerate(robots):
-        for j, (_tid, tpos, _req) in enumerate(targets):
+        for j, (_tid, tpos) in enumerate(targets):
             entries[i, j] = math.dist(rpos, tpos)
     return CostMatrix(
         entries=entries,
         robot_ids=tuple(r for r, _ in robots),
-        target_ids=tuple(t for t, _, _ in targets),
+        target_ids=tuple(t for t, _ in targets),
     )
 
 

@@ -108,7 +108,7 @@ def _default_config() -> dict:
         "spawn_box": list(m.spawn_box),
         "grid": [m.grid_rows, m.grid_cols],
         "kinematics": asdict(m.kinematics),
-        "pi": {"kp": m.pi.kp, "ki": m.pi.ki},
+        "pi": asdict(m.pi),
         "targets": {
             "kind": d.kind,
             "total": d.total_targets,
@@ -219,7 +219,7 @@ def _load_policy(path, role: str) -> qnet.QNetwork:
 
 
 def _apply_axis(cfg: dict, axis: str, value):
-    cfg = json.loads(json.dumps(cfg))  # deep copy
+    cfg = copy.deepcopy(cfg)
     if axis == "robots":
         cfg["robots"] = _count(value, "sweep.values")
     elif axis == "mrt_percent":

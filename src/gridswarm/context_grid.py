@@ -217,11 +217,11 @@ def bind_snapshot(grid: ContextGrid, self_id: int, self_position,
                   targets, neighbors) -> ContextGrid:
     """Deform with the standard priority order: self, targets, neighbors.
 
-    `targets` holds (id, position, required_visits) and `neighbors`
-    (id, position) entries, each in the order they are to be bound.
+    `targets` and `neighbors` hold (id, position) entries, each in the
+    order they are to be bound.
     """
     objects = [("self", self_id, self_position)]
-    objects += [("target", tid, pos) for tid, pos, _req in targets]
+    objects += [("target", tid, pos) for tid, pos in targets]
     objects += [("robot", rid, pos) for rid, pos in neighbors]
     return deform(grid, objects)
 

@@ -1,8 +1,11 @@
 """Unicycle kinematics and PI waypoint tracking.
 
 The PI loop produces a correction that is added to the geometric desired
-heading before the first-order heading dynamics are integrated; both gains
-are exposed so either loop can be disabled.
+heading before the first-order heading dynamics are integrated.  `PIState`
+holds its two gains, so either term can be disabled; the integral is a
+float that the caller carries from one update to the next (the mission
+restarts it at 0.0 at each decision), and `pi_heading_command` and
+`advance` each take it and return the new one.
 
 `advance` is the per-dt path the mission engine runs: one call moves one
 robot.  The five step functions `desired_heading` -> `pi_heading_command`
@@ -47,7 +50,6 @@ class KinematicParams:
 class PIState:
     kp: float = 0.2
     ki: float = 0.003
-    integral_error: float = 0.0
 
     def __post_init__(self):
         reject_non_finite(self)
@@ -60,19 +62,19 @@ def desired_heading(position, waypoint) -> float:
     return wrap_angle(math.atan2(dy, dx))
 
 
-def pi_heading_command(psi: float, psi_d: float, pi: PIState, dt: float,
-                       omega_max: float) -> tuple:
-    """One PI update on the heading error; returns (command, new state)."""
+def pi_heading_command(psi: float, psi_d: float, pi: PIState, integral: float,
+                       dt: float, omega_max: float) -> tuple:
+    """One PI update on the heading error; returns (command, new integral)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     e = wrap_angle(psi_d - psi)
-    integral = pi.integral_error + e * dt
+    integral = integral + e * dt
     # anti-windup: cap the integral where its term alone would saturate
     limit = omega_max / max(pi.ki, _EPS)
     integral = max(-limit, min(limit, integral))
     cmd = pi.kp * e + pi.ki * integral
     cmd = max(-omega_max, min(omega_max, cmd))
-    return cmd, PIState(pi.kp, pi.ki, integral)
+    return cmd, integral
 
 
 def corrected_setpoint(psi: float, psi_d: float, cmd: float) -> float:

@@ -10,8 +10,9 @@ Everything is numpy float64 and hand-backpropagated so gradients can be
 checked against finite differences.
 
 Each net keeps its weights in one flat buffer and its gradients in a second
-of the same layout, and one workspace of preallocated buffers per batch size
-that both passes write into.  What a caller gets back lives as follows:
+of the same layout, each seen as a tuple of per-layer views, and one
+workspace of preallocated buffers per batch size that both passes write
+into.  What a caller gets back lives as follows:
 
 - q from `forward_cached` (and `forward`) is a fresh array;
 - the layer inputs `hs` from `forward_cached` belong to the net and hold
@@ -24,9 +25,9 @@ that both passes write into.  What a caller gets back lives as follows:
 from __future__ import annotations
 
 import io
-import operator
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,8 +91,8 @@ class QNetwork:
     Every weight matrix is a view into one flat float64 buffer, in the order
     of `spec.weight_shapes()`, and every gradient a view of the same layout
     into a second one, so an SGD step and a target sync are a call or two
-    each.  Write into a `weights` entry in place: a net one of whose entries
-    was rebound refuses to run a pass, step or sync.
+    each.  `weights` is a read-only tuple of those views, so neither it nor
+    an entry can be rebound: write into an entry in place.
 
     The buffer lifetimes are in the module docstring.
     """
@@ -104,13 +105,12 @@ class QNetwork:
         self.spec = spec
         self._flat = np.empty(sum(rows * cols for rows, cols in shapes))
         self._grad_flat = np.zeros_like(self._flat)
-        self._views = _split(self._flat, shapes)
-        for view, w in zip(self._views, weights):
+        self._weights = _split(self._flat, shapes)
+        for view, w in zip(self._weights, weights):
             view[...] = w
-        self.weights = list(self._views)  # one (out, in+1) matrix per layer + output
         self._grads = _split(self._grad_flat, shapes)
-        self._transposed = [w.T for w in self._views]
-        self._unbiased = [w[:, :-1] for w in self._views]
+        self._transposed = [w.T for w in self._weights]
+        self._unbiased = [w[:, :-1] for w in self._weights]
         self._work = {}  # batch size -> _Workspace
 
     @classmethod
@@ -125,11 +125,10 @@ class QNetwork:
         """A net with the same weights in its own buffers."""
         return QNetwork(self.spec, self.weights)
 
-    def _check_weights(self):
-        """Raise unless every `weights` entry is still its view of the flat buffer."""
-        views = self._views
-        if len(self.weights) != len(views) or any(map(operator.is_not, self.weights, views)):
-            raise ValueError("a weights entry was rebound; write into it in place")
+    @property
+    def weights(self) -> tuple:
+        """One (out, in+1) matrix per hidden layer, then the output's."""
+        return self._weights
 
     def _workspace(self, batch: int) -> "_Workspace":
         work = self._work.get(batch)
@@ -152,7 +151,6 @@ class QNetwork:
             raise ValueError(
                 f"state width {s.shape[1]} != input_dim {self.spec.input_dim}"
             )
-        self._check_weights()
         work = self._workspace(s.shape[0])
         np.copyto(work.states, s)
         # outputs are passed positionally: an out= keyword costs a parse per call
@@ -175,7 +173,7 @@ class QNetwork:
         return q[0] if np.ndim(state) == 1 else q
 
     def backward(self, q: np.ndarray, hs: list, actions: np.ndarray,
-                 coeff: np.ndarray) -> list:
+                 coeff: np.ndarray) -> tuple:
         """Gradients of sum_b coeff[b] * Q(s_b, a_b) w.r.t. every weight.
 
         `q` and `hs` come from this net's last pass at their batch size, and
@@ -213,19 +211,18 @@ class QNetwork:
         """w -= lr * g for every weight and the gradients of the last
         `backward`: the bits of that loop, in two calls over the flat
         buffers (g *= lr, then w -= g), so the gradients are left scaled."""
-        self._check_weights()
         g = self._grad_flat
         g *= lr
         self._flat -= g
 
 
-def _split(flat: np.ndarray, shapes: list) -> list:
+def _split(flat: np.ndarray, shapes: list) -> tuple:
     """Consecutive C-ordered views of `flat`, one per shape."""
     views, start = [], 0
     for rows, cols in shapes:
         views.append(flat[start:start + rows * cols].reshape(rows, cols))
         start += rows * cols
-    return views
+    return tuple(views)
 
 
 class _Workspace:
@@ -290,8 +287,6 @@ class _Workspace:
 def sync_target(net: QNetwork, target_net: QNetwork) -> QNetwork:
     if net.spec != target_net.spec:
         raise ValueError("spec mismatch between online and target networks")
-    net._check_weights()
-    target_net._check_weights()
     np.copyto(target_net._flat, net._flat)
     return target_net
 
@@ -411,7 +406,7 @@ class TrainerConfig:
     eps_end: float = 0.05
     eps_decay_fraction: float = 0.5  # fraction of episodes over which eps decays
     lr_end_scale: float = 0.1  # final learning-rate multiplier (linear decay)
-    reward_block: int = 100  # episodes per logged average
+    reward_block: ClassVar[int] = 100  # episodes per logged average
 
     def __post_init__(self):
         reject_non_finite(self)
@@ -422,7 +417,7 @@ class TrainerConfig:
                 raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)}")
         if self.lr_end_scale < 0.0:
             raise ValueError(f"lr_end_scale must not be negative, not {self.lr_end_scale}")
-        if not 1 <= self.reward_block <= self.episodes:
+        if self.episodes < self.reward_block:
             raise ValueError(f"episodes ({self.episodes}) must cover at least one "
                              f"reward_block ({self.reward_block})")
 

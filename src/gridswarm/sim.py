@@ -54,9 +54,6 @@ class MissionConfig:
 
     def __post_init__(self):
         world_mod.reject_non_finite(self)
-        if self.pi.integral_error != 0.0:
-            # each decision restarts the PI integral at 0.0
-            raise ValueError(f"pi.integral_error must be 0.0, not {self.pi.integral_error!r}")
         if self.n_robots < 1:
             raise ValueError("need at least one robot")
         if self.max_time <= 0:
@@ -105,7 +102,7 @@ class _RobotCtl:
     waypoint: tuple | None = None
     deadline: float = -1.0
     integral: float = 0.0  # PI heading-error integral, reset at each decision
-    memory: dict = field(default_factory=dict)  # target id -> (position, visits)
+    memory: dict = field(default_factory=dict)  # target id -> position
     engaged: int | None = None  # MRT the robot sticks with
     label: str = ""
     action: int = scenario.STAY
@@ -170,26 +167,25 @@ class Mission:
         """Re-plan one robot's waypoint; `hale` is the step's swarm centroid."""
         cfg, arena = self.config, self.arena
         ctl = self.ctl[robot.id]
-        det = world_mod.sense(robot, self.world, arena)
+        targets, neighbors = world_mod.sense(robot, self.world, arena)
         # targets never move, so a robot's own past detections remain valid:
         # remember them, and forget one only when close enough to have seen
         # it again (it must have been neutralized meanwhile)
         memory = ctl.memory
-        for tid, pos, req in det.visible_targets:
+        for tid, pos in targets:
             self.first_detect.setdefault(tid, self.world.time)
-            memory[tid] = (pos, req)
-        targets = det.visible_targets
+            memory[tid] = pos
         if len(memory) > len(targets):  # some remembered target is out of view
-            visible_ids = {tid for tid, _pos, _req in targets}
+            visible_ids = {tid for tid, _pos in targets}
             forget = 0.8 * arena.global_sensor_range
             remembered = []
             for tid in sorted(memory):
                 if tid not in visible_ids:
-                    pos, req = memory[tid]
+                    pos = memory[tid]
                     if math.dist(robot.position, pos) <= forget:
                         del memory[tid]
                     else:
-                        remembered.append((tid, pos, req))
+                        remembered.append((tid, pos))
             targets += tuple(remembered)
         centroid = (
             min(max(hale[0], 0.0), arena.width),
@@ -200,7 +196,7 @@ class Mission:
                              cfg.grid_spacing, arena)
         bind, allocable, caps, in_bound = [], [], {}, {}
         for entry in targets:
-            tid, pos, _req = entry
+            tid, pos = entry
             tgt = targets_by_id[tid]
             visited = robot.id in tgt.visited_by
             # a live multi-visit target stays bound even after this robot's
@@ -213,9 +209,8 @@ class Mission:
             if in_bound[tid] and not visited:
                 allocable.append(entry)
                 caps[tid] = max(1, tgt.required_visits - tgt.sequence_progress)
-        cg.bind_snapshot(grid, robot.id, robot.position, bind, det.visible_neighbors)
-        cost = alloc_mod.build_cost_matrix(robot.id, robot.position, allocable,
-                                           det.visible_neighbors)
+        cg.bind_snapshot(grid, robot.id, robot.position, bind, neighbors)
+        cost = alloc_mod.build_cost_matrix(robot.id, robot.position, allocable, neighbors)
         alloc = alloc_mod.allocate(cost, caps)
 
         # commit the visit order the local allocation implies; order only
@@ -309,7 +304,7 @@ class Mission:
         # no allocated target: detected-but-out-of-bound targets act as cues
         cue = min(
             ((math.dist(robot.position, pos), tid)
-             for tid, pos, _req in targets
+             for tid, pos in targets
              if not in_bound.get(tid, True) and ("target", tid) in grid.node_of),
             default=None,
         )

@@ -88,19 +88,6 @@ class WorldState:
         self.targets = sorted(self.targets, key=lambda t: t.id)
 
 
-@dataclass(frozen=True)
-class Detections:
-    """What a single robot can see: targets in r_g, neighbors in r_l.
-
-    The swarm centroid is the HALE's one broadcast per step, not a per-robot
-    reading: see `hale_centroid` and `sim.Mission.step`.
-    """
-
-    robot_id: int
-    visible_targets: tuple  # (target_id, position, required_visits), sorted by id
-    visible_neighbors: tuple  # (robot_id, position), sorted by id
-
-
 def hale_centroid(robots) -> tuple:
     """Arithmetic mean of robot positions: the virtual-robot anchor point."""
     if not robots:
@@ -112,12 +99,18 @@ def hale_centroid(robots) -> tuple:
     )
 
 
-def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> Detections:
-    """Deterministic noise-free sensing snapshot for one robot."""
+def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> tuple:
+    """Deterministic noise-free sensing snapshot for one robot.
+
+    Returns `(targets, neighbors)`: the live targets within r_g and the
+    other robots within r_l, each a tuple of `(id, position)` in ascending
+    id.  The swarm centroid is the HALE's one broadcast per step, not a
+    per-robot reading: see `hale_centroid` and `sim.Mission.step`.
+    """
     pos = robot.position
     rg, rl = arena.global_sensor_range, arena.local_sensor_range
     targets = tuple([
-        (t.id, t.position, t.required_visits)
+        (t.id, t.position)
         for t in world.targets
         if t.live and math.dist(pos, t.position) <= rg
     ])
@@ -126,7 +119,7 @@ def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> Detections:
         for r in world.robots
         if r.id != robot.id and math.dist(pos, r.position) <= rl
     ])
-    return Detections(robot.id, targets, neighbors)
+    return targets, neighbors
 
 
 def try_neutralize(robot_id: int, target: Target) -> bool:

@@ -17,7 +17,7 @@ from gridswarm.allocation import (
 
 def sensed(neighbors, targets):
     """(targets, neighbors) entries as a robot senses them: ascending id."""
-    return tuple((tid, pos, 1) for tid, pos in sorted(targets)), tuple(sorted(neighbors))
+    return tuple(sorted(targets)), tuple(sorted(neighbors))
 
 
 def brute_force(entries, capacities):

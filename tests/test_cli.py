@@ -86,6 +86,8 @@ def test_config_rejects_unknown_keys_and_non_mappings(tmp_path):
     p = tmp_path / "c.yaml"
     for doc, message in [({"robot": 9}, "unknown config key 'robot'"),
                          ({"arena": {"widht": 80.0}}, "unknown config key 'arena.widht'"),
+                         ({"pi": {"integral_error": 0.0}},
+                          "unknown config key 'pi.integral_error'"),
                          ({"arena": 80.0}, "config arena must be a mapping"),
                          ([6], "config document must be a mapping")]:
         p.write_text(yaml.safe_dump(doc))
@@ -292,6 +294,18 @@ def test_sweep_jobs_below_one_rejected(tmp_path, policy_files, jobs):
                   "--jobs", str(jobs), "--policy-conflict", policy_files[0],
                   "--policy-free", policy_files[1]])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_yaml_date_reaches_the_number_check(tmp_path, policy_files, verb):
+    # YAML reads an unquoted 2020-01-01 as a date; the sweep's per-value
+    # copy of the config must carry it to the check, as `run` does
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text("max_time: 2020-01-01\n")
+    message = "config max_time must be a number, not datetime.date(2020, 1, 1)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.main([verb, "--config", str(cfgp), "--out", str(tmp_path / "out"),
+                  "--policy-conflict", policy_files[0], "--policy-free", policy_files[1]])
 
 
 class SerialPool:

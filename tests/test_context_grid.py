@@ -144,7 +144,7 @@ def test_deform_bindings_unique(points):
 
 
 def test_bind_snapshot_priority():
-    targets = ((4, (50.0, 45.0), 1), (6, (45.5, 44.0), 1))
+    targets = ((4, (50.0, 45.0)), (6, (45.5, 44.0)))
     neighbors = ((1, (45.0, 50.0)),)
     g = fresh()
     bind_snapshot(g, 2, (45.0, 44.0), targets, neighbors)

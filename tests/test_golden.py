@@ -47,6 +47,8 @@ TRAIN_VERB_DIGESTS = {
     "free.qnet": "3de08dc1d697f7b0adad473a03e050ea986b80c7a3b23ec5f145a831da0c71a3",
     "free_rewards.csv": "9fb932ba2c82f0d887dc33ee1112a17238ab6300bc2f5ca21334e23368d19bf4",
 }
+# stdout of `gridswarm defaults`, the YAML tree every config file overrides
+DEFAULTS_DIGEST = "fced0b8e8c024e4534f14d7f389a41ec5f9e6ddd1d9bd02051c7d33878b67116"
 
 
 def sha256(path) -> str:
@@ -76,6 +78,11 @@ def golden_inputs(tmp_path_factory):
     (d / "crowded.yaml").write_text(yaml.safe_dump(crowded))
     policies = ["--policy-conflict", str(d / "c.qnet"), "--policy-free", str(d / "f.qnet")]
     return d, policies
+
+
+def test_defaults_digest(capsys):
+    cli.main(["defaults"])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEFAULTS_DIGEST
 
 
 def test_sweep_digests(golden_inputs):

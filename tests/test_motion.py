@@ -35,23 +35,24 @@ def test_desired_heading_cardinals():
 
 def test_pi_command_saturates():
     pi = PIState(kp=10.0, ki=0.0)
-    cmd, _ = pi_heading_command(0.0, math.pi, pi, 0.1, omega_max=2.0)
+    cmd, _ = pi_heading_command(0.0, math.pi, pi, 0.0, 0.1, omega_max=2.0)
     assert cmd == pytest.approx(2.0)
 
 
 def test_pi_integral_accumulates():
     pi = PIState(kp=0.0, ki=1.0)
-    cmd1, pi = pi_heading_command(0.0, 1.0, pi, 0.5, omega_max=10.0)
-    cmd2, pi = pi_heading_command(0.0, 1.0, pi, 0.5, omega_max=10.0)
+    cmd1, integral = pi_heading_command(0.0, 1.0, pi, 0.0, 0.5, omega_max=10.0)
+    cmd2, integral = pi_heading_command(0.0, 1.0, pi, integral, 0.5, omega_max=10.0)
     assert cmd2 > cmd1 > 0
-    assert pi.integral_error == pytest.approx(1.0)
+    assert integral == pytest.approx(1.0)
 
 
 def test_pi_anti_windup():
     pi = PIState(kp=0.0, ki=0.5)
+    integral = 0.0
     for _ in range(10_000):
-        _, pi = pi_heading_command(0.0, math.pi, pi, 0.1, omega_max=2.0)
-    assert pi.integral_error <= 2.0 / 0.5 + 1e-9
+        _, integral = pi_heading_command(0.0, math.pi, pi, integral, 0.1, omega_max=2.0)
+    assert integral <= 2.0 / 0.5 + 1e-9
 
 
 def test_step_kinematics_straight_line():
@@ -96,14 +97,15 @@ def test_waypoint_convergence():
     """PI-tracked unicycle reaches a waypoint from an adverse heading."""
     params = KinematicParams()
     r = Robot(id=0, position=(10.0, 10.0), heading=math.pi)  # facing away
-    pi = PIState()
+    pi, integral = PIState(), 0.0
     wp = (25.0, 20.0)
     for _ in range(200):
         d = math.hypot(wp[0] - r.position[0], wp[1] - r.position[1])
         if d <= 0.5:
             break
         psi_d = desired_heading(r.position, wp)
-        cmd, pi = pi_heading_command(r.heading, psi_d, pi, params.dt, params.omega_max)
+        cmd, integral = pi_heading_command(r.heading, psi_d, pi, integral, params.dt,
+                                           params.omega_max)
         v = speed_command(d, params, 0.5, heading_error=psi_d - r.heading)
         r = step_kinematics(r, corrected_setpoint(r.heading, psi_d, cmd), v, params)
     assert math.hypot(wp[0] - r.position[0], wp[1] - r.position[1]) <= 0.5
@@ -178,15 +180,15 @@ def test_advance_matches_the_five_step_functions_bit_for_bit(inputs):
     robot = Robot(id=0, position=position, heading=heading)
 
     psi_d = desired_heading(robot.position, waypoint)
-    cmd, state = pi_heading_command(robot.heading, psi_d, PIState(pi.kp, pi.ki, integral),
-                                    _PARAMS.dt, _PARAMS.omega_max)
+    cmd, expected_integral = pi_heading_command(robot.heading, psi_d, pi, integral,
+                                                _PARAMS.dt, _PARAMS.omega_max)
     speed = speed_command(dist, _PARAMS, _ARRIVAL, heading_error=psi_d - robot.heading)
     setpoint = corrected_setpoint(robot.heading, psi_d, cmd)
     expected = step_kinematics(robot, setpoint, speed, _PARAMS, _ARENA)
 
     new_integral = advance(robot, waypoint, dist, integral, pi.kp, pi.ki, _PARAMS, _ARENA)
     assert _bits(robot.position, robot.heading, new_integral) == \
-        _bits(expected.position, expected.heading, state.integral_error)
+        _bits(expected.position, expected.heading, expected_integral)
 
 
 def test_advance_keeps_the_speed_range_check():

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,9 +220,11 @@ class TestPersistence:
 
     def test_matrix_shape_must_match_spec(self, tmp_path):
         net = make(NetworkSpec.free(), seed=1)
-        net.weights[0] = net.weights[0][:, :-1]  # drop the bias column
+        # a QNetwork refuses misshapen weights, so a stand-in writes the file
+        misshapen = SimpleNamespace(spec=net.spec,
+                                    weights=(net.weights[0][:, :-1], *net.weights[1:]))
         p = tmp_path / "w.qnet"
-        save_weights(net, p)
+        save_weights(misshapen, p)  # the first matrix lacks its bias column
         with pytest.raises(ValueError, match=r"shape \(16, 2\).*needs \(16, 3\)"):
             load_weights(p)
 
@@ -249,6 +252,9 @@ class TestReplayAndConfig:
                              ("lr_end_scale", -2.0)]:
             with pytest.raises(ValueError, match=f"^{field} must"):
                 TrainerConfig(**{field: value})
+        with pytest.raises(TypeError, match="reward_block"):  # a constant, not a field
+            TrainerConfig(reward_block=10)
+        assert TrainerConfig().reward_block == 100
 
     @pytest.mark.parametrize("kw", [
         {}, cli.CONFLICT_TRAIN_DEFAULTS, cli.FREE_TRAIN_DEFAULTS,

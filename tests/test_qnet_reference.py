@@ -255,30 +255,24 @@ def test_copy_shares_no_weight_or_gradient_memory(name):
         assert not np.array_equal(g, twin_g)
 
 
-def test_rebound_weights_entry_is_refused(tmp_path):
-    """A rebound entry would leave the flat buffer the trainer steps stale:
-    training raises before any weight moves, and saving still works."""
+def test_weights_cannot_be_rebound():
+    """`weights` and its entries are the views of the flat buffer the
+    trainer steps: rebinding either is refused and leaves the buffer as it
+    was, and a write into an entry in place reaches the next pass."""
     spec = SPECS["free"]
     net = QNetwork.initialize(spec, np.random.default_rng(2))
-    flat_view = net.weights[1]
-    net.weights[1] = flat_view.copy()  # same values, memory of its own
-    rebound, kept = net.weights[1].copy(), flat_view.copy()
-    config = qnet.TrainerConfig(episodes=50, reward_block=10)
-    with pytest.raises(ValueError, match="rebound"):
-        qnet._train(net, config, np.random.default_rng(0), qnet.FreeGame(), qnet._free_episode)
-    assert_same(flat_view, kept)
-    assert_same(net.weights[1], rebound)
-    for call in (lambda: net.forward_cached(np.zeros((3, 2))),
-                 lambda: net.sgd_step(0.1),
-                 lambda: sync_target(net, net.copy()),
-                 lambda: sync_target(net.copy(), net)):
-        with pytest.raises(ValueError, match="rebound"):
-            call()
-    assert_same(flat_view, kept)
-    qnet.save_weights(net, tmp_path / "w.qnet")
-    loaded = qnet.load_weights(tmp_path / "w.qnet")
-    for w, want in zip(loaded.weights, net.weights):
-        assert_same(w, want)
+    kept = net._flat.tobytes()
+    with pytest.raises(TypeError):
+        net.weights[1] = net.weights[1].copy()
+    with pytest.raises(AttributeError):
+        net.weights = [w.copy() for w in net.weights]
+    assert net._flat.tobytes() == kept
+    s = np.random.default_rng(3).normal(size=(4, spec.input_dim))
+    before = net.forward(s)
+    net.weights[1][:, -1] += 0.5  # every layer-2 bias, in place
+    q = net.forward(s)
+    assert not np.array_equal(q, before)
+    assert_same(q, ref_forward_cached(net, s)[0])
 
 
 # -- replay ------------------------------------------------------------------

@@ -46,7 +46,7 @@ def test_config_validation(nets):
                                  "global_sensor_range", "local_sensor_range",
                                  "neutralize_radius")),
     *((KinematicParams, f) for f in ("v_max", "heading_gain", "omega_max", "dt")),
-    *((PIState, f) for f in ("kp", "ki", "integral_error")),
+    *((PIState, f) for f in ("kp", "ki")),
     *((TrainerConfig, f) for f in ("learning_rate", "eps_end", "eps_decay_fraction",
                                    "lr_end_scale")),
     *((DistributionSpec, f) for f in ("mrt_fraction", "cluster_radius")),
@@ -61,13 +61,6 @@ def test_duplicate_target_ids_rejected(nets):
     twins = [Target(0, (30.0, 30.0), 1), Target(0, (60.0, 60.0), 1)]
     with pytest.raises(ValueError, match="target id 0 is used by more than one target"):
         Mission(MissionConfig(), twins, *nets)
-
-
-def test_pi_integral_must_start_at_zero():
-    # each decision restarts the integral at 0.0, so a start value would be ignored
-    with pytest.raises(ValueError, match=r"^pi\.integral_error must be 0\.0"):
-        MissionConfig(pi=PIState(integral_error=5.0))
-    assert MissionConfig(pi=PIState(integral_error=-0.0)).pi.integral_error == 0.0
 
 
 def test_grid_spacing():

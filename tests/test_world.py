@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from gridswarm.world import (
     ArenaConfig,
-    Detections,
     Robot,
     Target,
     WorldState,
@@ -63,19 +62,16 @@ def test_sense_ranges_and_ordering():
         Target(3, (45, 50), 1),  # 5 m
         Target(7, (45, 80), 1),  # 35 m: outside
     ]
-    det = sense(robots[0], WorldState(robots, targets), arena)
-    assert [t[0] for t in det.visible_targets] == [3, 5]  # ascending id
-    assert [n[0] for n in det.visible_neighbors] == [1]  # robot 2 beyond r_l
-    assert det.robot_id == 0
-    assert isinstance(det, Detections)
+    seen, neighbors = sense(robots[0], WorldState(robots, targets), arena)
+    assert seen == ((3, (45, 50)), (5, (60, 45)))  # (id, position), ascending id
+    assert neighbors == ((1, (50, 45)),)  # robot 2 beyond r_l
 
 
 def test_sense_skips_dead_targets():
     arena = ArenaConfig()
     robots = [make_robot(0, (45, 45))]
     t = Target(0, (46, 45), 1, live=False)
-    det = sense(robots[0], WorldState(robots, [t]), arena)
-    assert det.visible_targets == ()
+    assert sense(robots[0], WorldState(robots, [t]), arena) == ((), ())
 
 
 def test_neutralize_single_visit():
