@@ -233,14 +233,13 @@ def _apply_axis(cfg: dict, axis: str, value):
     return cfg
 
 
-def execute_run(cfg: dict, child_seed: int, conflict_net, free_net,
-                log_trajectory=False):
+def build_mission(cfg: dict, child_seed: int, conflict_net, free_net,
+                  log_trajectory=False) -> Mission:
     """One seeded mission: scenario from one child stream, sim from another."""
     scen_rng = np.random.default_rng(splitmix64(child_seed, 0))
     mconfig = mission_config_from(cfg, splitmix64(child_seed, 1), log_trajectory)
     targets = generate_scenario(distribution_from(cfg), mconfig.arena, scen_rng)
-    mission = Mission(mconfig, targets, conflict_net, free_net)
-    return mission.run()
+    return Mission(mconfig, targets, conflict_net, free_net)
 
 
 _WORKER = {}
@@ -253,7 +252,7 @@ def _worker_init(conflict_path, free_path):
 
 def _worker_run(job):
     axis_value, rep, child_seed, cfg = job
-    result = execute_run(cfg, child_seed, _WORKER["conflict"], _WORKER["free"])
+    result = build_mission(cfg, child_seed, _WORKER["conflict"], _WORKER["free"]).run()
     return (axis_value, rep, child_seed, result.total_time, result.search_time,
             result.collisions, int(result.success))
 
@@ -382,12 +381,14 @@ def cmd_train_free(args):
 
 def cmd_run(args):
     cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     conflict_net = _load_policy(args.policy_conflict, "conflict")
     free_net = _load_policy(args.policy_free, "free")
-    result = execute_run(cfg, splitmix64(args.seed, 0), conflict_net, free_net,
-                         log_trajectory=True)
+    # a rejected config or policy leaves no output directory behind
+    mission = build_mission(cfg, splitmix64(args.seed, 0), conflict_net, free_net,
+                            log_trajectory=True)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    result = mission.run()
     write_trajectory(result, out / "trajectory.csv")
     summary = json.dumps(result.summary(), indent=2, sort_keys=True)
     (out / "summary.json").write_text(summary)

@@ -53,6 +53,10 @@ class PIState:
 
     def __post_init__(self):
         reject_non_finite(self)
+        # zero turns a term off; a negative ki would lift the anti-windup cap
+        # omega_max / max(ki, 1e-12) to about 2e12
+        if min(self.kp, self.ki) < 0:
+            raise ValueError("PI gains must be >= 0")
 
 
 def desired_heading(position, waypoint) -> float:

@@ -49,11 +49,11 @@ def test_cost_matrix_ordering():
     cm = build_cost_matrix(3, (0.0, 0.0), targets, neighbors)
     assert cm.robot_ids == (1, 3)
     assert cm.target_ids == (2, 7)
-    assert cm.entries[1, 0] == pytest.approx(5.0)  # robot 3 to target 2
-    assert cm.entries[1, 1] == pytest.approx(5.0)
+    assert cm.entries[1][0] == pytest.approx(5.0)  # robot 3 to target 2
+    assert cm.entries[1][1] == pytest.approx(5.0)
     # no target in view: one empty row per robot
     cm = build_cost_matrix(3, (0.0, 0.0), (), neighbors)
-    assert cm.entries.shape == (2, 0) and cm.target_ids == ()
+    assert cm.entries == [[], []] and cm.target_ids == ()
 
 
 def test_allocate_simple_cross():
@@ -122,19 +122,38 @@ def solver_reference(cost, capacities):
     """The assignment scipy's solver gives on the slot matrix, for every case."""
     caps = [int(capacities.get(tid, 1)) for tid in cost.target_ids]
     slots = np.repeat(np.arange(len(caps)), caps)
-    rows, chosen = linear_sum_assignment(cost.entries[:, slots])
+    entries = np.array(cost.entries, dtype=float).reshape(len(cost.robot_ids), len(caps))
+    rows, chosen = linear_sum_assignment(entries[:, slots])
     return {cost.robot_ids[i]: cost.target_ids[slots[j]] for i, j in zip(rows, chosen)}
+
+
+def outcome(solve, cost, caps):
+    """The (robot, target) pairs in key order, or the ValueError raised."""
+    try:
+        return list(solve(cost, caps).items())
+    except ValueError as e:
+        return f"ValueError: {e}"
 
 
 @st.composite
 def tied_costs(draw):
-    """Small integer costs, so ties are common, with capacities up to 3."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-    cells = draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m))
+    """Small integer costs, so ties are common, with capacities up to 3.
+
+    Up to 6 robots, so robots often outnumber the visit slots.  With two or
+    more robots, up to two cells may be replaced by +inf, NaN or -inf: the
+    lone-robot short cut skips the solver and its checks.
+    """
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    cells = draw(st.lists(st.integers(0, 3).map(float), min_size=n * m, max_size=n * m))
+    if n > 1 and m:
+        for k, x in draw(st.lists(st.tuples(st.integers(0, n * m - 1),
+                                            st.sampled_from([math.inf, math.nan, -math.inf])),
+                                  max_size=2)):
+            cells[k] = x
     robot_ids = tuple(sorted(draw(st.sets(st.integers(0, 20), min_size=n, max_size=n))))
     target_ids = tuple(sorted(draw(st.sets(st.integers(0, 20), min_size=m, max_size=m))))
     caps = {tid: draw(st.integers(1, 3)) for tid in target_ids}
-    entries = np.array(cells, dtype=float).reshape(n, m)
+    entries = [cells[i * m:(i + 1) * m] for i in range(n)]  # rows, as built
     return CostMatrix(entries, robot_ids, target_ids), caps
 
 
@@ -145,9 +164,16 @@ def tied_costs(draw):
 @example((CostMatrix(np.array([[2.0, 1.0, 3.0]]), (4,), (7, 8, 9)), {}))  # lone robot
 @example((CostMatrix(np.array([[2.0, 1.0, 1.0]]), (4,), (7, 8, 9)), {8: 3, 9: 2}))  # tied slots
 @example((CostMatrix(np.ones((1, 3)), (0,), (7, 8, 9)), {7: 2, 8: 2, 9: 2}))
+@example((CostMatrix([[3.0], [1.0], [2.0], [1.0]], (9, 2, 5, 4), (7,)), {7: 2}))  # robots > slots
+@example((CostMatrix([[1.0, 2.0], [math.nan, 0.0]], (0, 1), (7, 8)), {}))
+@example((CostMatrix([[1.0, 2.0], [-math.inf, 0.0]], (0, 1), (7, 8)), {}))
+@example((CostMatrix([[math.inf, 1.0], [math.inf, 0.0]], (0, 1), (7, 8)), {}))  # infeasible
+@example((CostMatrix([[math.inf, math.inf, 0.0]], (0,), (7, 8, 9)), {}))
 def test_allocate_matches_solver_with_ties(case):
+    # same pairs, in the same key order, and the same error as scipy's solver
     cost, caps = case
-    assert allocate(cost, caps).assigned == solver_reference(cost, caps)
+    got = outcome(lambda c, k: allocate(c, k).assigned, cost, caps)
+    assert got == outcome(solver_reference, cost, caps)
 
 
 def test_allocate_short_cuts():

@@ -162,6 +162,13 @@ def test_reals_must_be_numbers(tmp_path, path, bad):
         cli.distribution_from(cfg)
 
 
+def test_negative_pi_gains_rejected_at_config_time():
+    cfg = cli.load_config(None)
+    cfg["pi"] = {"kp": -5.0, "ki": -1.0}
+    with pytest.raises(ValueError, match="PI gains must be >= 0"):
+        cli.mission_config_from(cfg, seed=0)
+
+
 @pytest.mark.parametrize("box, message", [
     (5, "config spawn_box must be a list [x0, y0, w, h], not 5"),
     ([0, 0, 20], "config spawn_box must be a list [x0, y0, w, h], not [0, 0, 20]"),
@@ -306,6 +313,8 @@ def test_yaml_date_reaches_the_number_check(tmp_path, policy_files, verb):
     with pytest.raises(ValueError, match=re.escape(message)):
         cli.main([verb, "--config", str(cfgp), "--out", str(tmp_path / "out"),
                   "--policy-conflict", policy_files[0], "--policy-free", policy_files[1]])
+    # a rejected config leaves no output directory behind
+    assert not (tmp_path / "out").exists()
 
 
 class SerialPool:

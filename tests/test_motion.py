@@ -47,6 +47,14 @@ def test_pi_integral_accumulates():
     assert integral == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("gains", [{"kp": -5.0, "ki": -1.0}, {"kp": -0.1},
+                                   {"ki": -1e-9}])
+def test_pi_gains_must_not_be_negative(gains):
+    with pytest.raises(ValueError, match="PI gains must be >= 0"):
+        PIState(**gains)
+    PIState(kp=0.0, ki=0.0)  # zero stays allowed: it turns a term off
+
+
 def test_pi_anti_windup():
     pi = PIState(kp=0.0, ki=0.5)
     integral = 0.0
