@@ -65,8 +65,8 @@ def allocate(cost: CostMatrix, capacities: dict) -> Allocation:
     gives `{1: 11, 2: 10}`.  The two cases most decisions meet skip the
     solver with its answer: no target (or robot) assigns nothing, and a
     lone robot takes the first cheapest slot, which is a slot of the first
-    cheapest target.  `cost.entries` is read row by row, so a numpy array
-    works too.
+    cheapest target, after the solver's own checks of its row.
+    `cost.entries` is read row by row, so a numpy array works too.
     """
     caps = [int(capacities.get(tid, 1)) for tid in cost.target_ids]
     if caps and min(caps) < 1:
@@ -78,7 +78,11 @@ def allocate(cost: CostMatrix, capacities: dict) -> Allocation:
         return alloc
     if len(robot_ids) == 1:
         row = list(entries[0])
-        alloc.assigned[robot_ids[0]] = target_ids[row.index(min(row))]
+        _check_entries([row])
+        best = min(row)
+        if best == math.inf:
+            raise ValueError(_INFEASIBLE)
+        alloc.assigned[robot_ids[0]] = target_ids[row.index(best)]
         return alloc
     slots = [*chain.from_iterable(map(repeat, range(len(caps)), caps))]  # slot -> target column
     if len(slots) < len(robot_ids):
@@ -93,6 +97,19 @@ def allocate(cost: CostMatrix, capacities: dict) -> Allocation:
         if j >= 0:
             alloc.assigned[robot_ids[i]] = target_ids[slots[j]]
     return alloc
+
+
+_INFEASIBLE = "cost matrix is infeasible"  # scipy's message: no finite assignment
+
+
+def _check_entries(c) -> None:
+    """Raise scipy's ValueError if a row of `c` holds a NaN or -inf entry."""
+    # the sum is NaN or -inf if an entry is (or if finite entries overflow)
+    if not -math.inf < sum(map(sum, c)):
+        for row in c:
+            for x in row:
+                if x != x or x == -math.inf:
+                    raise ValueError("matrix contains invalid numeric entries")
 
 
 def _assign(c) -> tuple:
@@ -116,12 +133,7 @@ def _assign(c) -> tuple:
     """
     inf = math.inf
     nr, nc = len(c), len(c[0])
-    # the sum is NaN or -inf if an entry is (or if finite entries overflow)
-    if not -inf < sum(map(sum, c)):
-        for row in c:
-            for x in row:
-                if x != x or x == -inf:
-                    raise ValueError("matrix contains invalid numeric entries")
+    _check_entries(c)
     u = [0.0] * nr
     v = [0.0] * nc
     path = [-1] * nc
@@ -146,7 +158,7 @@ def _assign(c) -> tuple:
                 if s <= lowest and (s < lowest or row4col[j] < 0):
                     lowest, best = s, j
             if lowest == inf:
-                raise ValueError("cost matrix is infeasible")
+                raise ValueError(_INFEASIBLE)
             min_val, j = lowest, best
             i = row4col[j]
             if i < 0:  # a free column: the path ends here

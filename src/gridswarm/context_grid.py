@@ -14,16 +14,18 @@ Every grid of one configuration (rows, cols, spacing, arena) puts its
 nodes at the same offsets from the centroid, so `build_grid` reads the
 node keys and each node's swarm-bound verdict from a small layout cached
 per configuration; only the arena test and the few nodes that lie within
-rounding of the bound are evaluated per grid.  A grid keeps the row-major
-list of its unmasked nodes, which `deform` and `pick_search_node` filter
-by binding.
+rounding of the bound are evaluated per grid.  A node is usable when it
+lies inside the arena and the swarm bound.  A grid keeps its usable nodes
+that no object is bound to in `free`, a row-major map to their undeformed
+positions; `deform` moves each node it binds from `free` to `bindings`, so
+a usable node is in exactly one of the two and any other node in neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 CLAMP_FRACTION = 0.49  # max gap adjustment, as a fraction of base spacing
 # A node whose config-only offset puts it within this relative distance of
@@ -43,26 +45,14 @@ class ContextGrid:
     d_y: list  # rows-1 lists of cols row gaps
     xs: list  # undeformed x of each column
     ys: list  # undeformed y of each row
-    unmasked: list  # (node, x, y) of every usable node, row-major, undeformed
-    bindings: dict = field(default_factory=dict)  # (row, col) -> (kind, id)
+    free: dict  # (row, col) -> undeformed (x, y) of every usable unbound node, row-major
+    bindings: dict = field(default_factory=dict)  # (row, col) -> (kind, id), usable nodes only
     node_of: dict = field(default_factory=dict)  # (kind, id) -> (row, col)
     clamped: list = field(default_factory=list)  # objects bound off-position
 
     @property
     def center(self) -> tuple:
         return (self.rows // 2, self.cols // 2)
-
-    def in_range(self, node) -> bool:
-        r, c = node
-        return 0 <= r < self.rows and 0 <= c < self.cols
-
-    @cached_property
-    def mask(self) -> list:
-        """rows lists of cols bools, True = unusable (off-arena or off-bound)."""
-        mask = [[True] * self.cols for _ in range(self.rows)]
-        for (r, c), _x, _y in self.unmasked:
-            mask[r][c] = False
-        return mask
 
     @property
     def uniform(self) -> dict:
@@ -101,7 +91,7 @@ def _layout(rows: int, cols: int, d: float, arena) -> _Layout:
 
 
 def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
-    """Uniform grid around the centroid with boundary / swarm-bound masking."""
+    """Uniform grid around the centroid, every usable node free."""
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2x2 nodes")
     if not 0.0 < d < math.inf:  # False for NaN as well
@@ -117,10 +107,10 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
     x_in = [0.0 <= x <= width for x in xs]
     y_in = [0.0 <= y <= height for y in ys]
     bound = arena.swarm_bound_radius + 1e-9
-    unmasked = [
-        (node, xs[c], ys[r]) for node, r, c, sure in layout.inside
+    free = {
+        node: (xs[c], ys[r]) for node, r, c, sure in layout.inside
         if x_in[c] and y_in[r] and (sure or math.hypot(xs[c] - cx, ys[r] - cy) <= bound)
-    ]
+    }
     return ContextGrid(
         rows=rows,
         cols=cols,
@@ -130,7 +120,7 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
         d_y=[*map(list, layout.d_y)],
         xs=xs,
         ys=ys,
-        unmasked=unmasked,
+        free=free,
     )
 
 
@@ -178,12 +168,6 @@ def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
     return exact
 
 
-def _free_nodes(grid: ContextGrid) -> list:
-    """(node, x, y) of every unmasked, unbound node, in row-major order."""
-    bindings = grid.bindings
-    return [e for e in grid.unmasked if e[0] not in bindings]
-
-
 def deform(grid: ContextGrid, objects) -> ContextGrid:
     """Bind every object to its nearest free node and pull the node onto it.
 
@@ -193,7 +177,7 @@ def deform(grid: ContextGrid, objects) -> ContextGrid:
     to the smallest node.  Objects whose offset exceeds the clamp limit are
     bound without landing exactly and recorded in `grid.clamped`.
     """
-    free = _free_nodes(grid)
+    free = grid.free
     hypot = math.hypot
     for kind, obj_id, pos in objects:
         if (kind, obj_id) in grid.node_of:
@@ -202,9 +186,10 @@ def deform(grid: ContextGrid, objects) -> ContextGrid:
             grid.clamped.append((kind, obj_id))
             continue
         px, py = pos
-        dist = [hypot(px - x, py - y) for _node, x, y in free]
+        dist = [hypot(px - x, py - y) for x, y in free.values()]
         # free is row-major, so the first minimum is the smallest tied node
-        node, ux, uy = free.pop(dist.index(min(dist)))
+        node = [*free][dist.index(min(dist))]
+        ux, uy = free.pop(node)
         exact = _apply_offset(grid, node, px - ux, py - uy)
         grid.bindings[node] = (kind, obj_id)
         grid.node_of[(kind, obj_id)] = node
@@ -227,7 +212,7 @@ def bind_snapshot(grid: ContextGrid, self_id: int, self_position,
 
 
 def pick_search_node(grid: ContextGrid, toward, rank: int) -> tuple:
-    """Unmasked free node to head for while searching.
+    """Free node to head for while searching.
 
     Free nodes are ordered by distance to the global point `toward` and the
     node at position `rank` (modulo the free count) is returned: robots
@@ -235,12 +220,11 @@ def pick_search_node(grid: ContextGrid, toward, rank: int) -> tuple:
     while claiming distinct nodes.  With no free node the robot's own node
     is returned.
     """
-    free = _free_nodes(grid)
-    if not free:
+    if not grid.free:
         self_nodes = [n for n, b in grid.bindings.items() if b[0] == "self"]
         if not self_nodes:
             raise ValueError("no free node and no self binding")
         return self_nodes[0]
     tx, ty = toward
-    ranked = sorted((math.hypot(x - tx, y - ty), node) for node, x, y in free)
+    ranked = sorted((math.hypot(x - tx, y - ty), node) for node, (x, y) in grid.free.items())
     return ranked[int(rank) % len(ranked)][1]

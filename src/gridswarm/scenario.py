@@ -191,21 +191,21 @@ def action_mask_bounds(node, rows: int, cols: int) -> np.ndarray:
 def action_mask_grid(node, grid, masked_nodes=(), robot_obstacles: bool = True) -> np.ndarray:
     """Availability mask on the context grid.
 
-    An action is available when the destination node exists, is not masked
-    (boundary or obstacle), and, when `robot_obstacles` is set, is not
-    bound to another robot.  Stay is always available.
+    An action is available when the destination node is usable (free or
+    bound), is not in `masked_nodes`, and, when `robot_obstacles` is set,
+    is not bound to another robot.  Stay is always available.
     """
     mask = np.zeros(N_ACTIONS, dtype=bool)
-    masked_nodes = set(masked_nodes)
     for a, (dr, dc) in enumerate(ACTION_DELTAS):
         dest = (node[0] + dr, node[1] + dc)
         if a != STAY:
-            if not grid.in_range(dest):
-                continue
-            if grid.mask[dest[0]][dest[1]] or dest in masked_nodes:
+            if dest in masked_nodes:
                 continue
             b = grid.bindings.get(dest)
-            if robot_obstacles and b is not None and b[0] == "robot":
+            if b is None:
+                if dest not in grid.free:
+                    continue
+            elif robot_obstacles and b[0] == "robot":
                 continue
         mask[a] = True
     return mask

@@ -233,7 +233,7 @@ class Mission:
                 assigned = ctl.engaged
             else:
                 ctl.engaged = None
-        if assigned is not None and targets_by_id[assigned].kind == "MRT":
+        if assigned is not None and targets_by_id[assigned].required_visits > 1:
             ctl.engaged = assigned
         ctl.assigned = assigned
 
@@ -305,7 +305,7 @@ class Mission:
         cue = min(
             ((math.dist(robot.position, pos), tid)
              for tid, pos in targets
-             if not in_bound.get(tid, True) and ("target", tid) in grid.node_of),
+             if not in_bound[tid] and ("target", tid) in grid.node_of),
             default=None,
         )
         if cue is not None:
@@ -319,11 +319,9 @@ class Mission:
     def _adjacent_hold(grid, tnode, own):
         """Own node if next to the target, else the first free neighbour, else the target."""
         around = [(tnode[0] + dr, tnode[1] + dc) for dr, dc in scenario.ACTION_DELTAS[:4]]
-        if own in around:  # a bound node is always in range and unmasked
+        if own in around:
             return own
-        free = [n for n in around if grid.in_range(n) and not grid.mask[n[0]][n[1]]
-                and n not in grid.bindings]
-        return free[0] if free else tnode
+        return next((n for n in around if n in grid.free), tnode)
 
     # -- motion / commit phase ----------------------------------------------
 

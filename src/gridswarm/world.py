@@ -70,10 +70,6 @@ class Target:
         if self.required_visits < 1:
             raise ValueError("a target needs at least one visit")
 
-    @property
-    def kind(self) -> str:
-        return "SRT" if self.required_visits == 1 else "MRT"
-
 
 @dataclass
 class WorldState:

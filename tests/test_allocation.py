@@ -139,13 +139,12 @@ def outcome(solve, cost, caps):
 def tied_costs(draw):
     """Small integer costs, so ties are common, with capacities up to 3.
 
-    Up to 6 robots, so robots often outnumber the visit slots.  With two or
-    more robots, up to two cells may be replaced by +inf, NaN or -inf: the
-    lone-robot short cut skips the solver and its checks.
+    Up to 6 robots, so robots often outnumber the visit slots.  Up to two
+    cells may be replaced by +inf, NaN or -inf.
     """
     n, m = draw(st.integers(1, 6)), draw(st.integers(0, 4))
     cells = draw(st.lists(st.integers(0, 3).map(float), min_size=n * m, max_size=n * m))
-    if n > 1 and m:
+    if m:
         for k, x in draw(st.lists(st.tuples(st.integers(0, n * m - 1),
                                             st.sampled_from([math.inf, math.nan, -math.inf])),
                                   max_size=2)):
@@ -169,6 +168,8 @@ def tied_costs(draw):
 @example((CostMatrix([[1.0, 2.0], [-math.inf, 0.0]], (0, 1), (7, 8)), {}))
 @example((CostMatrix([[math.inf, 1.0], [math.inf, 0.0]], (0, 1), (7, 8)), {}))  # infeasible
 @example((CostMatrix([[math.inf, math.inf, 0.0]], (0,), (7, 8, 9)), {}))
+@example((CostMatrix([[math.nan, 1.0]], (0,), (7, 8)), {}))  # lone robot, invalid
+@example((CostMatrix([[math.inf, math.inf]], (0,), (7, 8)), {}))  # lone robot, infeasible
 def test_allocate_matches_solver_with_ties(case):
     # same pairs, in the same key order, and the same error as scipy's solver
     cost, caps = case

@@ -40,7 +40,7 @@ def test_generate_uniform_scenario():
     targets = cli.generate_scenario(spec, arena, np.random.default_rng(0))
     assert len(targets) == 15
     assert all(arena.contains(t.position) for t in targets)
-    assert sum(1 for t in targets if t.kind == "MRT") == 3  # ceil(0.2 * 15)
+    assert sum(1 for t in targets if t.required_visits > 1) == 3  # ceil(0.2 * 15)
 
 
 def test_generate_clustered_scenario():

@@ -14,6 +14,7 @@ from gridswarm.context_grid import (
     node_coords,
     pick_search_node,
 )
+from gridswarm.scenario import ACTION_DELTAS, STAY, action_mask_grid
 from gridswarm.world import ArenaConfig
 
 
@@ -36,15 +37,15 @@ def test_uniform_coords_center():
 def test_mask_swarm_bound():
     g = fresh()
     # corners sit sqrt(2)*30 from the centroid: outside the bound circle
-    assert g.mask[0][0] and g.mask[4][4] and g.mask[0][4] and g.mask[4][0]
-    assert not g.mask[2][2] and not g.mask[0][2]
+    assert all(n not in g.free for n in [(0, 0), (4, 4), (0, 4), (4, 0)])
+    assert (2, 2) in g.free and (0, 2) in g.free
 
 
 def test_mask_arena_boundary():
     g = build_grid((10.0, 45.0), 5, 5, 15.0, ARENA)
     # western column would fall at x = -20: outside the arena
-    assert all(row[0] for row in g.mask)
-    assert not g.mask[2][2]
+    assert all((r, 0) not in g.free for r in range(5))
+    assert (2, 2) in g.free
 
 
 @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -139,8 +140,9 @@ def test_deform_bindings_unique(points):
     deform(g, [("robot", i, p) for i, p in enumerate(points)])
     nodes = list(g.bindings.keys())
     assert len(nodes) == len(set(nodes))
-    for r, c in nodes:
-        assert not g.mask[r][c]
+    usable = fresh().free
+    for node in nodes:
+        assert node in usable and node not in g.free
 
 
 def test_bind_snapshot_priority():
@@ -158,7 +160,7 @@ def test_pick_search_node_ranks_toward_anchor():
     g = fresh()
     deform(g, [("self", 0, (45.0, 45.0)), ("robot", 1, (60.0, 45.0))])
     anchor = (80.0, 70.0)
-    free = [n for n in g.uniform if not g.mask[n[0]][n[1]] and n not in g.bindings]
+    free = list(g.free)
     picks = [pick_search_node(g, anchor, rank) for rank in range(4)]
     # distinct ranks claim distinct free nodes, nearest to the anchor first
     assert len(set(picks)) == 4 and all(n in free for n in picks)
@@ -188,11 +190,18 @@ def reference_mask(centroid, rows, cols, d, arena):
     return mask
 
 
+def assert_free(g, mask):
+    """A fresh grid's free map holds every usable node of `mask`, row-major."""
+    assert list(g.free.items()) == [
+        (n, reference_uniform(g, n)) for n in
+        [(r, c) for r in range(g.rows) for c in range(g.cols)] if not mask[n]]
+
+
 def reference_deform(g, objects):
     """Each object takes the first node of a full sort of the free nodes."""
     for kind, obj_id, pos in objects:
         candidates = sorted(
-            (n for n in g.uniform if not g.mask[n[0]][n[1]] and n not in g.bindings),
+            (n for n in g.uniform if n in g.free),
             key=lambda n: (math.hypot(pos[0] - reference_uniform(g, n)[0],
                                       pos[1] - reference_uniform(g, n)[1]), n),
         )
@@ -202,6 +211,7 @@ def reference_deform(g, objects):
         node = candidates[0]
         ux, uy = reference_uniform(g, node)
         exact = _apply_offset(g, node, pos[0] - ux, pos[1] - uy)
+        del g.free[node]
         g.bindings[node] = (kind, obj_id)
         g.node_of[(kind, obj_id)] = node
         if not exact:
@@ -235,7 +245,7 @@ def grids_and_objects(draw, max_side=10):
 def test_build_grid_matches_reference(case):
     centroid, rows, cols, d, _ = case
     g = build_grid(centroid, rows, cols, d, ARENA)
-    assert np.array_equal(g.mask, reference_mask(centroid, rows, cols, d, ARENA))
+    assert_free(g, reference_mask(centroid, rows, cols, d, ARENA))
     assert list(g.uniform) == [(r, c) for r in range(rows) for c in range(cols)]
     for node in g.uniform:
         assert g.uniform[node] == reference_uniform(g, node)
@@ -254,10 +264,37 @@ def test_deform_matches_full_sort_reference(case):
     want = build_grid(centroid, rows, cols, d, ARENA)
     reference_deform(want, objects)
     assert got.bindings == want.bindings
+    assert list(got.free.items()) == list(want.free.items())
     assert got.node_of == want.node_of
     assert got.clamped == want.clamped
     assert bits(got.d_x) == bits(want.d_x)
     assert bits(got.d_y) == bits(want.d_y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_objects(), st.data())
+def test_free_and_bound_nodes_partition_the_usable_ones(case, data):
+    centroid, rows, cols, d, objects = case
+    g = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
+    mask = reference_mask(centroid, rows, cols, d, ARENA)
+    usable = {n for n in g.uniform if not mask[n]}
+    assert not g.free.keys() & g.bindings.keys()
+    assert g.free.keys() | g.bindings.keys() == usable
+    assert list(g.free) == sorted(g.free)  # row-major
+    # one grid step past the edge, so some destinations lie off the grid
+    nodes = st.tuples(st.integers(-1, rows), st.integers(-1, cols))
+    masked_nodes = data.draw(st.sets(nodes, max_size=4))
+    for node in g.uniform:
+        for robot_obstacles in (True, False):
+            want = []
+            for a, (dr, dc) in enumerate(ACTION_DELTAS):
+                dest = (node[0] + dr, node[1] + dc)
+                kind = g.bindings.get(dest, (None,))[0]
+                want.append(a == STAY or (
+                    dest in usable and dest not in masked_nodes
+                    and not (robot_obstacles and kind == "robot")))
+            got = action_mask_grid(node, g, masked_nodes, robot_obstacles)
+            assert got.tolist() == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -275,20 +312,13 @@ def test_node_coords_matches_np_sum(case):
 
 # -- the cached layout: one entry per (rows, cols, spacing, arena) -----------
 
-def reference_unmasked(g, mask):
-    return [(n, *reference_uniform(g, n)) for n in
-            [(r, c) for r in range(g.rows) for c in range(g.cols)] if not mask[n]]
-
-
 def test_build_grid_layout_follows_arena_and_spacing():
     """Alternating configurations in one process: no grid reads a stale layout."""
     wide = ArenaConfig(width=60.0, height=120.0, swarm_bound_radius=45.0)
     centroid = (30.0, 45.0)
     for arena, d in [(ARENA, 15.0), (wide, 15.0), (ARENA, 10.0), (wide, 10.0)] * 2:
         g = build_grid(centroid, 7, 7, d, arena)
-        mask = reference_mask(centroid, 7, 7, d, arena)
-        assert np.array_equal(g.mask, mask)
-        assert g.unmasked == reference_unmasked(g, mask)
+        assert_free(g, reference_mask(centroid, 7, 7, d, arena))
     # the two arenas mask different nodes, so a layout keyed without the
     # arena (or the spacing) could not pass the loop above
     assert not np.array_equal(reference_mask(centroid, 7, 7, 15.0, ARENA),
@@ -309,8 +339,6 @@ def test_build_grid_tests_nodes_on_the_bound_per_grid(d, x0):
     for i in range(200):
         centroid = (x0 + i * 0.0137, 45.0)
         g = build_grid(centroid, 7, 7, d, arena)
-        mask = reference_mask(centroid, 7, 7, d, arena)
-        assert np.array_equal(g.mask, mask)
-        assert g.unmasked == reference_unmasked(g, mask)
-        verdicts.add(g.mask[3][6])  # the east axis node
+        assert_free(g, reference_mask(centroid, 7, 7, d, arena))
+        verdicts.add((3, 6) in g.free)  # the east axis node
     assert verdicts == {True, False}

@@ -31,8 +31,8 @@ def test_arena_validation():
 def test_target_kind():
     srt = Target(0, (1, 1), 1)
     mrt = Target(1, (2, 2), 2)
-    assert srt.kind == "SRT" and srt.required_visits == 1
-    assert mrt.kind == "MRT" and mrt.required_visits == 2
+    assert srt.required_visits == 1
+    assert mrt.required_visits == 2
     with pytest.raises(ValueError):
         Target(2, (3, 3), 0)
 
