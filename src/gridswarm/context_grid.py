@@ -1,9 +1,11 @@
 """Per-robot deformable context grid.
 
-The grid is centered on the swarm (HALE) centroid.  Node spacings live in
-two gap matrices: d_x holds the (cols-1) column gaps of every row and d_y
-the (rows-1) row gaps of every column, so deforming one node only touches
-its two adjacent gaps and leaves the rest of the grid in place.
+The grid is centered on the swarm (HALE) centroid.  Its geometry is the
+undeformed position of node (0, 0), `origin`, and two gap lists: d_x holds
+the (cols-1) column gaps of every row and d_y the (rows-1) row gaps of
+every column.  A node lies at the origin plus the gaps before it along its
+row and its column, so deforming one node only touches its adjacent gaps
+and leaves the rest of the grid in place.
 
 Axis convention used throughout the package: column index grows with +x
 (east), row index grows with +y (north).  Row 0 / column 0 are therefore
@@ -12,7 +14,7 @@ deformed along the anchored axis (bindings there are clamped instead).
 
 Every grid of one configuration (rows, cols, spacing, arena) puts its
 nodes at the same offsets from the centroid, so `build_grid` reads the
-node keys and each node's swarm-bound verdict from a small layout cached
+offsets and each node's swarm-bound verdict from a small layout cached
 per configuration; only the arena test and the few nodes that lie within
 rounding of the bound are evaluated per grid.  A node is usable when it
 lies inside the arena and the swarm bound.  A grid keeps its usable nodes
@@ -40,40 +42,23 @@ class ContextGrid:
     rows: int
     cols: int
     base_spacing: float
-    centroid: tuple
+    origin: tuple  # undeformed (x, y) of node (0, 0), where the prefix sums start
     d_x: list  # rows lists of cols-1 column gaps
-    d_y: list  # rows-1 lists of cols row gaps
-    xs: list  # undeformed x of each column
-    ys: list  # undeformed y of each row
+    d_y: list  # cols lists of rows-1 row gaps
     free: dict  # (row, col) -> undeformed (x, y) of every usable unbound node, row-major
     bindings: dict = field(default_factory=dict)  # (row, col) -> (kind, id), usable nodes only
     node_of: dict = field(default_factory=dict)  # (kind, id) -> (row, col)
     clamped: list = field(default_factory=list)  # objects bound off-position
 
-    @property
-    def center(self) -> tuple:
-        return (self.rows // 2, self.cols // 2)
-
-    @property
-    def uniform(self) -> dict:
-        """(row, col) -> undeformed (x, y) of every node, row-major."""
-        return {(r, c): (x, y) for r, y in enumerate(self.ys) for c, x in enumerate(self.xs)}
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """What every grid of one configuration shares: offsets and bound verdicts."""
-
-    col_off: tuple  # x offset of each column from the centroid
-    row_off: tuple  # y offset of each row
-    inside: tuple  # (node, row, col, sure) of nodes not surely off-bound, row-major;
-    # sure=False marks a node within rounding of the bound, tested per grid
-    d_x: tuple  # the undeformed gap matrices, copied into each grid
-    d_y: tuple
-
 
 @lru_cache(maxsize=None, typed=True)
-def _layout(rows: int, cols: int, d: float, arena) -> _Layout:
+def _layout(rows: int, cols: int, d: float, arena) -> tuple:
+    """(col_off, row_off, inside), shared by every grid of one configuration.
+
+    The offsets are from the centroid; inside lists (node, row, col, sure)
+    for each node not surely off-bound, row-major, and sure=False marks a
+    node within rounding of the bound, tested per grid.
+    """
     col_off = tuple((c - cols // 2) * d for c in range(cols))
     row_off = tuple((r - rows // 2) * d for r in range(rows))
     bound = arena.swarm_bound_radius + 1e-9
@@ -86,8 +71,7 @@ def _layout(rows: int, cols: int, d: float, arena) -> _Layout:
                 inside.append(((r, c), r, c, False))
             elif off <= bound:
                 inside.append(((r, c), r, c, True))
-    return _Layout(col_off, row_off, tuple(inside),
-                   d_x=((float(d),) * (cols - 1),) * rows, d_y=((float(d),) * cols,) * (rows - 1))
+    return col_off, row_off, tuple(inside)
 
 
 def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
@@ -99,45 +83,45 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
     if not arena.contains(centroid):
         raise ValueError("centroid outside the arena")
     cx, cy = float(centroid[0]), float(centroid[1])
-    layout = _layout(rows, cols, d, arena)
-    xs = [cx + o for o in layout.col_off]
-    ys = [cy + o for o in layout.row_off]
+    col_off, row_off, inside = _layout(rows, cols, d, arena)
+    xs = [cx + o for o in col_off]
+    ys = [cy + o for o in row_off]
     # the centroid is inside the arena, so these test one axis each
     width, height = arena.width, arena.height
     x_in = [0.0 <= x <= width for x in xs]
     y_in = [0.0 <= y <= height for y in ys]
     bound = arena.swarm_bound_radius + 1e-9
     free = {
-        node: (xs[c], ys[r]) for node, r, c, sure in layout.inside
+        node: (xs[c], ys[r]) for node, r, c, sure in inside
         if x_in[c] and y_in[r] and (sure or math.hypot(xs[c] - cx, ys[r] - cy) <= bound)
     }
+    gap = float(d)
     return ContextGrid(
         rows=rows,
         cols=cols,
         base_spacing=d,
-        centroid=(cx, cy),
-        d_x=[*map(list, layout.d_x)],
-        d_y=[*map(list, layout.d_y)],
-        xs=xs,
-        ys=ys,
+        origin=(xs[0], ys[0]),
+        d_x=[[gap] * (cols - 1) for _ in range(rows)],
+        d_y=[[gap] * (rows - 1) for _ in range(cols)],
         free=free,
     )
 
 
 def node_coords(grid: ContextGrid, node) -> tuple:
-    """Global coordinates of a node, prefix-summed from the gap matrices."""
+    """Global coordinates of a node, prefix-summed from the gap lists."""
     r, c = node
     if not (0 <= r < grid.rows and 0 <= c < grid.cols):
         raise IndexError(f"node {(r, c)} outside {grid.rows}x{grid.cols} grid")
-    # summed left to right from the south-west node: bit-identical to np.sum
-    # below eight gaps (grids up to 8x8); np.sum adds longer runs in eight
-    # interleaved partial sums
+    # summed left to right in a loop, not by the builtin sum, which adds
+    # floats with compensation since Python 3.12 and so gives other bits
+    # on other versions
     x = y = 0.0
     for g in grid.d_x[r][:c]:
         x += g
-    for gaps in grid.d_y[:r]:
-        y += gaps[c]
-    return (grid.xs[0] + x, grid.ys[0] + y)
+    for g in grid.d_y[c][:r]:
+        y += g
+    ox, oy = grid.origin
+    return (ox + x, oy + y)
 
 
 def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
@@ -162,9 +146,9 @@ def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
         if abs(dy) > lim:
             dy = math.copysign(lim, dy)
             exact = False
-        grid.d_y[r - 1][c] += dy
+        grid.d_y[c][r - 1] += dy
     if 0 < r < grid.rows - 1:
-        grid.d_y[r][c] -= dy
+        grid.d_y[c][r] -= dy
     return exact
 
 
@@ -178,19 +162,18 @@ def deform(grid: ContextGrid, objects) -> ContextGrid:
     bound without landing exactly and recorded in `grid.clamped`.
     """
     free = grid.free
-    hypot = math.hypot
+    dist = math.dist
     for kind, obj_id, pos in objects:
         if (kind, obj_id) in grid.node_of:
             raise ValueError(f"object {(kind, obj_id)} already bound")
         if not free:
             grid.clamped.append((kind, obj_id))
             continue
-        px, py = pos
-        dist = [hypot(px - x, py - y) for x, y in free.values()]
+        dists = [dist(pos, xy) for xy in free.values()]
         # free is row-major, so the first minimum is the smallest tied node
-        node = [*free][dist.index(min(dist))]
+        node = [*free][dists.index(min(dists))]
         ux, uy = free.pop(node)
-        exact = _apply_offset(grid, node, px - ux, py - uy)
+        exact = _apply_offset(grid, node, pos[0] - ux, pos[1] - uy)
         grid.bindings[node] = (kind, obj_id)
         grid.node_of[(kind, obj_id)] = node
         if not exact:
@@ -225,6 +208,5 @@ def pick_search_node(grid: ContextGrid, toward, rank: int) -> tuple:
         if not self_nodes:
             raise ValueError("no free node and no self binding")
         return self_nodes[0]
-    tx, ty = toward
-    ranked = sorted((math.hypot(x - tx, y - ty), node) for node, (x, y) in grid.free.items())
+    ranked = sorted((math.dist(xy, toward), node) for node, xy in grid.free.items())
     return ranked[int(rank) % len(ranked)][1]

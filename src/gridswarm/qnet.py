@@ -194,10 +194,9 @@ class QNetwork:
         work.delta_flat[taken] += work.cqa
         np.matmul(delta.T, hs[-1], self._grads[-1])
         np.matmul(delta, self._unbiased[-1], work.dh_out)
-        for dh, skip_dh, summed, h, deriv, d, d_t, x, grad, unbiased, dinp in work.back:
+        for dh, skip_dh, h, deriv, d, d_t, x, grad, unbiased, dinp in work.back:
             if skip_dh is not None:
-                np.add(dh, skip_dh, summed)
-                dh = summed
+                np.add(dh, skip_dh, dh)
             if deriv is not None:  # a tanh layer: d = dh * (1 - h**2)
                 np.square(h, deriv)
                 np.subtract(1.0, deriv, deriv)
@@ -234,12 +233,13 @@ class _Workspace:
     copied into, or None).
 
     `back` drives the backward pass, last hidden layer first: (dL/dh, the
-    skip part of dL/dh or None, buffer for their sum, activation view,
-    tanh-derivative buffer or None on the linear layer, d = dL/d pre-
-    activation and its transpose, input, gradient view, weights without the
-    bias column, dL/d input buffer or None on layer 1).  Each dL/dh part is
-    a column block of a later layer's dL/d input, summed in the order the
-    layers are visited.
+    skip part of dL/dh or None, activation view, tanh-derivative buffer or
+    None on the linear layer, d = dL/d pre-activation and its transpose,
+    input, gradient view, weights without the bias column, dL/d input
+    buffer or None on layer 1).  dL/dh is the leading columns of the next
+    layer's dL/d input (the output layer's, on the last hidden layer); on
+    the skip source the concatenation layer's tail columns are added into
+    it in place.
     """
 
     def __init__(self, net: QNetwork, batch: int):
@@ -266,20 +266,16 @@ class _Workspace:
             self.layers.append((self.inputs[k - 1], net._transposed[k - 1], pre, acts[k],
                                 skip_to))
         dinps = {k: np.empty((batch, spec.layer_input_width(k))) for k in range(2, n + 1)}
-        parts = {n: [self.dh_out]}
-        for k in range(n, 1, -1):
-            prev = widths[k - 2]
-            parts.setdefault(k - 1, []).append(dinps[k][:, :prev])
-            if skip is not None and k == skip[1]:
-                parts.setdefault(skip[0], []).append(dinps[k][:, prev:])
+        dinps[n + 1] = self.dh_out
         self.back = []
         for k in range(n, 0, -1):
             w = widths[k - 1]
-            dh, skip_dh = parts[k] if len(parts[k]) == 2 else (parts[k][0], None)
-            summed = None if skip_dh is None else np.empty((batch, w))
+            dh = dinps[k + 1][:, :w]
+            skip_dh = (dinps[skip[1]][:, widths[skip[1] - 2]:]
+                       if skip is not None and k == skip[0] else None)
             deriv = None if spec.is_linear(k) else np.empty((batch, w))
-            d = deriv if deriv is not None else summed if summed is not None else dh
-            self.back.append((dh, skip_dh, summed, acts[k], deriv, d, d.T,
+            d = dh if deriv is None else deriv
+            self.back.append((dh, skip_dh, acts[k], deriv, d, d.T,
                               self.inputs[k - 1], net._grads[k - 1], net._unbiased[k - 1],
                               dinps.get(k)))
 

@@ -88,11 +88,15 @@ def hale_centroid(robots) -> tuple:
     """Arithmetic mean of robot positions: the virtual-robot anchor point."""
     if not robots:
         raise ValueError("centroid of an empty swarm is undefined")
+    # added left to right in a loop, not by the builtin sum, which adds
+    # floats with compensation since Python 3.12 and so gives other bits
+    # on other versions
+    x = y = 0
+    for r in robots:
+        x += r.position[0]
+        y += r.position[1]
     n = len(robots)
-    return (
-        sum(r.position[0] for r in robots) / n,
-        sum(r.position[1] for r in robots) / n,
-    )
+    return (x / n, y / n)
 
 
 def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> tuple:

@@ -19,15 +19,21 @@ from gridswarm.world import ArenaConfig
 
 
 ARENA = ArenaConfig(swarm_bound_radius=30.0)
+CENTER = (2, 2)  # the centre node of `fresh`'s 5x5 grid
 
 
 def fresh(centroid=(45.0, 45.0), rows=5, cols=5, d=15.0):
     return build_grid(centroid, rows, cols, d, ARENA)
 
 
+def all_nodes(rows, cols):
+    """Every node of a rows x cols grid, row-major."""
+    return [(r, c) for r in range(rows) for c in range(cols)]
+
+
 def test_uniform_coords_center():
     g = fresh()
-    assert node_coords(g, g.center) == pytest.approx((45.0, 45.0))
+    assert node_coords(g, CENTER) == pytest.approx((45.0, 45.0))
     # one node east of center is one spacing along +x
     assert node_coords(g, (2, 3)) == pytest.approx((60.0, 45.0))
     # one node north of center is one spacing along +y
@@ -71,10 +77,10 @@ def test_deform_lands_on_object():
 
 def test_deform_only_moves_bound_node():
     g = fresh()
-    before = {n: node_coords(g, n) for n in g.uniform}
+    before = {n: node_coords(g, n) for n in all_nodes(5, 5)}
     deform(g, [("target", 1, (47.0, 43.0))])
     node = g.node_of[("target", 1)]
-    moved = [n for n in g.uniform if not np.allclose(node_coords(g, n), before[n])]
+    moved = [n for n in all_nodes(5, 5) if not np.allclose(node_coords(g, n), before[n])]
     assert moved == [node]
 
 
@@ -100,8 +106,8 @@ def test_deform_priority_order():
     g = fresh()
     p = (45.5, 45.2)  # both objects closest to the center node
     deform(g, [("self", 0, p), ("target", 9, p)])
-    assert g.node_of[("self", 0)] == g.center
-    assert g.node_of[("target", 9)] != g.center
+    assert g.node_of[("self", 0)] == CENTER
+    assert g.node_of[("target", 9)] != CENTER
 
 
 def test_duplicate_binding_rejected():
@@ -129,7 +135,7 @@ def test_deform_exact_within_clamp(points):
         got = node_coords(g, node)
         assert math.isclose(got[0], p[0], abs_tol=1e-9)
         assert math.isclose(got[1], p[1], abs_tol=1e-9)
-        ux, uy = g.uniform[node]
+        ux, uy = reference_uniform((45.0, 45.0), 5, 5, 15.0, node)
         assert abs(p[0] - ux) <= lim + 1e-9 and abs(p[1] - uy) <= lim + 1e-9
 
 
@@ -150,9 +156,9 @@ def test_bind_snapshot_priority():
     neighbors = ((1, (45.0, 50.0)),)
     g = fresh()
     bind_snapshot(g, 2, (45.0, 44.0), targets, neighbors)
-    assert g.node_of[("self", 2)] == g.center  # self first: it takes the centre
+    assert g.node_of[("self", 2)] == CENTER  # self first: it takes the centre
     assert g.node_of[("target", 4)] == (2, 3)
-    assert g.node_of[("target", 6)] != g.center  # nearest node already taken
+    assert g.node_of[("target", 6)] != CENTER  # nearest node already taken
     assert g.node_of[("robot", 1)] == (3, 2)
 
 
@@ -164,52 +170,59 @@ def test_pick_search_node_ranks_toward_anchor():
     picks = [pick_search_node(g, anchor, rank) for rank in range(4)]
     # distinct ranks claim distinct free nodes, nearest to the anchor first
     assert len(set(picks)) == 4 and all(n in free for n in picks)
-    dists = [math.dist(g.uniform[n], anchor) for n in picks]
+
+    def dist(n):
+        return math.dist(reference_uniform((45.0, 45.0), 5, 5, 15.0, n), anchor)
+
+    dists = [dist(n) for n in picks]
     assert dists == sorted(dists)
-    assert dists[0] == min(math.dist(g.uniform[n], anchor) for n in free)
+    assert dists[0] == min(dist(n) for n in free)
     assert pick_search_node(g, anchor, len(free)) == picks[0]  # rank wraps
 
 
 # -- the grid code against a reference: the per-node loop and full sort ------
 
-def reference_uniform(g, node):
+def reference_uniform(centroid, rows, cols, d, node):
+    """Undeformed position of a node of build_grid(centroid, rows, cols, d)."""
     r, c = node
-    rc, cc = g.center
-    d = g.base_spacing
-    return (g.centroid[0] + (c - cc) * d, g.centroid[1] + (r - rc) * d)
+    return (float(centroid[0]) + (c - cols // 2) * d,
+            float(centroid[1]) + (r - rows // 2) * d)
 
 
 def reference_mask(centroid, rows, cols, d, arena):
-    g = build_grid(centroid, rows, cols, d, arena)
     mask = np.zeros((rows, cols), dtype=bool)
-    for node in g.uniform:
-        p = reference_uniform(g, node)
+    for node in all_nodes(rows, cols):
+        p = reference_uniform(centroid, rows, cols, d, node)
         off = math.hypot(p[0] - centroid[0], p[1] - centroid[1])
         if not arena.contains(p) or off > arena.swarm_bound_radius + 1e-9:
             mask[node] = True
     return mask
 
 
-def assert_free(g, mask):
-    """A fresh grid's free map holds every usable node of `mask`, row-major."""
+def assert_free(g, centroid, rows, cols, d, arena):
+    """A fresh grid's free map holds every usable node, row-major."""
+    mask = reference_mask(centroid, rows, cols, d, arena)
     assert list(g.free.items()) == [
-        (n, reference_uniform(g, n)) for n in
-        [(r, c) for r in range(g.rows) for c in range(g.cols)] if not mask[n]]
+        (n, reference_uniform(centroid, rows, cols, d, n))
+        for n in all_nodes(rows, cols) if not mask[n]]
 
 
-def reference_deform(g, objects):
+def reference_deform(g, objects, centroid, rows, cols, d):
     """Each object takes the first node of a full sort of the free nodes."""
+    def uniform(n):
+        return reference_uniform(centroid, rows, cols, d, n)
+
     for kind, obj_id, pos in objects:
         candidates = sorted(
-            (n for n in g.uniform if n in g.free),
-            key=lambda n: (math.hypot(pos[0] - reference_uniform(g, n)[0],
-                                      pos[1] - reference_uniform(g, n)[1]), n),
+            (n for n in all_nodes(rows, cols) if n in g.free),
+            key=lambda n: (math.hypot(pos[0] - uniform(n)[0],
+                                      pos[1] - uniform(n)[1]), n),
         )
         if not candidates:
             g.clamped.append((kind, obj_id))
             continue
         node = candidates[0]
-        ux, uy = reference_uniform(g, node)
+        ux, uy = uniform(node)
         exact = _apply_offset(g, node, pos[0] - ux, pos[1] - uy)
         del g.free[node]
         g.bindings[node] = (kind, obj_id)
@@ -245,10 +258,10 @@ def grids_and_objects(draw, max_side=10):
 def test_build_grid_matches_reference(case):
     centroid, rows, cols, d, _ = case
     g = build_grid(centroid, rows, cols, d, ARENA)
-    assert_free(g, reference_mask(centroid, rows, cols, d, ARENA))
-    assert list(g.uniform) == [(r, c) for r in range(rows) for c in range(cols)]
-    for node in g.uniform:
-        assert g.uniform[node] == reference_uniform(g, node)
+    assert_free(g, centroid, rows, cols, d, ARENA)
+    assert g.origin == reference_uniform(centroid, rows, cols, d, (0, 0))
+    assert g.d_x == [[d] * (cols - 1)] * rows
+    assert g.d_y == [[d] * (rows - 1)] * cols
 
 
 def bits(gaps):
@@ -262,7 +275,7 @@ def test_deform_matches_full_sort_reference(case):
     centroid, rows, cols, d, objects = case
     got = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
     want = build_grid(centroid, rows, cols, d, ARENA)
-    reference_deform(want, objects)
+    reference_deform(want, objects, centroid, rows, cols, d)
     assert got.bindings == want.bindings
     assert list(got.free.items()) == list(want.free.items())
     assert got.node_of == want.node_of
@@ -277,14 +290,14 @@ def test_free_and_bound_nodes_partition_the_usable_ones(case, data):
     centroid, rows, cols, d, objects = case
     g = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
     mask = reference_mask(centroid, rows, cols, d, ARENA)
-    usable = {n for n in g.uniform if not mask[n]}
+    usable = {n for n in all_nodes(rows, cols) if not mask[n]}
     assert not g.free.keys() & g.bindings.keys()
     assert g.free.keys() | g.bindings.keys() == usable
     assert list(g.free) == sorted(g.free)  # row-major
     # one grid step past the edge, so some destinations lie off the grid
     nodes = st.tuples(st.integers(-1, rows), st.integers(-1, cols))
     masked_nodes = data.draw(st.sets(nodes, max_size=4))
-    for node in g.uniform:
+    for node in all_nodes(rows, cols):
         for robot_obstacles in (True, False):
             want = []
             for a, (dr, dc) in enumerate(ACTION_DELTAS):
@@ -303,10 +316,10 @@ def test_node_coords_matches_np_sum(case):
     """Bit-identical to np.sum while a row or column has under eight gaps."""
     centroid, rows, cols, d, objects = case
     g = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
-    rc, cc = g.center
-    for r, c in g.uniform:
-        x = g.centroid[0] - cc * d + float(np.sum(g.d_x[r][:c]))
-        y = g.centroid[1] - rc * d + float(np.sum([gaps[c] for gaps in g.d_y[:r]]))
+    x0, y0 = reference_uniform(centroid, rows, cols, d, (0, 0))
+    for r, c in all_nodes(rows, cols):
+        x = x0 + float(np.sum(g.d_x[r][:c]))
+        y = y0 + float(np.sum(g.d_y[c][:r]))
         assert node_coords(g, (r, c)) == (x, y)
 
 
@@ -318,7 +331,7 @@ def test_build_grid_layout_follows_arena_and_spacing():
     centroid = (30.0, 45.0)
     for arena, d in [(ARENA, 15.0), (wide, 15.0), (ARENA, 10.0), (wide, 10.0)] * 2:
         g = build_grid(centroid, 7, 7, d, arena)
-        assert_free(g, reference_mask(centroid, 7, 7, d, arena))
+        assert_free(g, centroid, 7, 7, d, arena)
     # the two arenas mask different nodes, so a layout keyed without the
     # arena (or the spacing) could not pass the loop above
     assert not np.array_equal(reference_mask(centroid, 7, 7, 15.0, ARENA),
@@ -339,6 +352,6 @@ def test_build_grid_tests_nodes_on_the_bound_per_grid(d, x0):
     for i in range(200):
         centroid = (x0 + i * 0.0137, 45.0)
         g = build_grid(centroid, 7, 7, d, arena)
-        assert_free(g, reference_mask(centroid, 7, 7, d, arena))
+        assert_free(g, centroid, 7, 7, d, arena)
         verdicts.add((3, 6) in g.free)  # the east axis node
     assert verdicts == {True, False}

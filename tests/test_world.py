@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,6 +49,18 @@ def test_centroid_is_mean(positions):
     cx, cy = hale_centroid(robots)
     assert math.isclose(cx, sum(p[0] for p in positions) / len(positions))
     assert math.isclose(cy, sum(p[1] for p in positions) / len(positions))
+
+
+@given(st.lists(st.tuples(st.floats(0, 90), st.floats(0, 90)), min_size=3, max_size=9))
+def test_centroid_adds_left_to_right(positions):
+    """The bits of a plain left-to-right sum on every Python: the builtin
+    sum compensates since 3.12, which moves about half of all random
+    6-robot centroids."""
+    robots = [make_robot(i, p) for i, p in enumerate(positions)]
+    n = len(positions)
+    want = tuple(functools.reduce(operator.add, (p[k] for p in positions), 0.0) / n
+                 for k in (0, 1))
+    assert hale_centroid(robots) == want
 
 
 def test_centroid_empty_swarm():
