@@ -34,7 +34,6 @@ import numpy as np
 from gridswarm.scenario import (
     ACTION_DELTAS,
     N_ACTIONS,
-    Region,
     action_mask_bounds,
     encode_conflict_state,
     encode_free_state,
@@ -50,7 +49,7 @@ class NetworkSpec:
     input_dim: int
     hidden_widths: tuple
     skip_concat: tuple | None = None  # (source layer, destination layer)
-    output_dim: int = N_ACTIONS
+    output_dim: ClassVar[int] = N_ACTIONS  # one Q-value per action
 
     def __post_init__(self):
         n, skip = len(self.hidden_widths), self.skip_concat
@@ -370,7 +369,10 @@ def _read_net(f) -> QNetwork:
         raise ValueError(f"unsupported format version {version}")
     skip = unpack("<II") if has_skip else None
     input_dim, output_dim, n_hidden = unpack("<III")
-    spec = NetworkSpec(input_dim, unpack(f"<{n_hidden}I"), skip, output_dim)
+    if output_dim != NetworkSpec.output_dim:
+        raise ValueError(f"a net with {output_dim} outputs; every net has one per "
+                         f"action, {NetworkSpec.output_dim}")
+    spec = NetworkSpec(input_dim, unpack(f"<{n_hidden}I"), skip)
     weights = []
     for shape in spec.weight_shapes():
         found = unpack("<II")
@@ -521,17 +523,14 @@ class ConflictGame:
             orr, oc = r, c
         # the per-axis clamp of scenario.region_toward, except that a peer
         # level with self on an axis ties to the later start (missions take
-        # the earlier one); ROADMAP item 5 says why the rules stay apart
+        # the earlier one); ROADMAP item 6 says why the rules stay apart
         r0 = min(max(r - 1 if orr < r else r, 0), self.SIZE - 2)
         c0 = min(max(c - 1 if oc < c else c, 0), self.SIZE - 2)
-        region = Region(r0, c0, 2)
-        bindings = {
-            self.pos[k]: ("robot", k)
-            for k in others
-            if region.contains(self.pos[k])
-        }
+        # the encoder looks up only the block's four nodes, so every active
+        # peer is bound
+        bindings = {self.pos[k]: ("robot", k) for k in others}
         goals = {k: self.goal[k] for k in range(self.n_agents)}
-        return encode_conflict_state(region, bindings, self.pos[i], self.goal[i], goals)
+        return encode_conflict_state((r0, c0), bindings, self.pos[i], self.goal[i], goals)
 
     def action_mask(self, i: int) -> np.ndarray:
         return action_mask_bounds(self.pos[i], self.SIZE, self.SIZE)
@@ -695,6 +694,8 @@ def train_free(config: TrainerConfig, seed: int = 0):
 def evaluate_conflict_policy(net: QNetwork, n_cases: int = 10_000, seed: int = 1,
                              n_agents: int = 2) -> float:
     """Collision-avoidance rate of the greedy policy over random conflicts."""
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be at least 1, not {n_cases}")
     rng = np.random.default_rng(seed)
     game = ConflictGame(n_agents=n_agents)
     def greedy(state, avail):

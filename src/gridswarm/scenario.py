@@ -1,10 +1,13 @@
 """Scenario identification and DQN state encodings.
 
-A robot probes sub-blocks of its context grid: a 3x3 region toward its
-goal node, further 3x3 regions toward any other target found there, and a
-2x2 region toward any robot found.  A foreign robot inside the final 2x2
-region makes the situation a conflict; everything else is conflict-free
-with the offending objects masked as obstacles.
+A robot probes sub-blocks of its context grid: a 3x3 block toward its
+goal node, further 3x3 blocks toward any other target found there, and a
+2x2 block toward any robot found.  A block is named by its south-west
+corner (row0, col0), as the grid names nodes by (row, col), and
+`region_toward` places every one.  A foreign robot inside the final 2x2
+block makes the situation a conflict, and that block's corner is what the
+conflict encoding reads; everything else is conflict-free with the
+offending objects masked as obstacles.
 """
 
 from __future__ import annotations
@@ -29,48 +32,24 @@ def sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-@dataclass(frozen=True)
-class Region:
-    """A size x size sub-block of the grid, anchored at its SW corner."""
-
-    row0: int
-    col0: int
-    size: int
-
-    def contains(self, node) -> bool:
-        r, c = node
-        return self.row0 <= r < self.row0 + self.size and \
-            self.col0 <= c < self.col0 + self.size
-
-    def nodes(self):
-        for r in range(self.row0, self.row0 + self.size):
-            for c in range(self.col0, self.col0 + self.size):
-                yield (r, c)
-
-    def clockwise_from(self, start):
-        """Perimeter nodes in clockwise order starting at `start` (2x2 only)."""
-        if self.size != 2:
-            raise ValueError("clockwise traversal defined for 2x2 regions")
-        r0, c0 = self.row0, self.col0
-        ring = [(r0 + 1, c0), (r0 + 1, c0 + 1), (r0, c0 + 1), (r0, c0)]
-        i = ring.index(tuple(start))
-        return ring[i:] + ring[:i]
-
-
 @dataclass
 class ScenarioLabel:
     label: str
     masked_nodes: set = field(default_factory=set)
-    conflict_region: Region | None = None
+    # (row0, col0) of the 2x2 block toward the conflicting robot, on conflict
+    conflict_region: tuple | None = None
 
 
-def _block_start(self_node, probe_node, size: int, rows: int, cols: int) -> tuple:
-    """(row0, col0) of the block `region_toward` picks.
+def region_toward(self_node, probe_node, size: int, rows: int, cols: int) -> tuple:
+    """(row0, col0), the SW corner of the `size`^2 block placed toward the probe.
 
-    The squared distance from a block's centre to the probe is one term per
-    axis, so each axis clamps its probe-centred start to the starts that
-    keep self inside.  Written with comparisons: the `min`/`max` builtins
-    cost several times as much on this per-decision path.
+    Among all in-bounds blocks containing the self node, picks the one
+    whose center is closest to the probe node; ties go to the smallest
+    (row0, col0).  The squared distance from a block's centre to the probe
+    is one term per axis, so each axis clamps its probe-centred start to
+    the starts that keep self inside.  Written with comparisons: the
+    `min`/`max` builtins cost several times as much on this per-decision
+    path.
     """
     (sr, sc), (pr, pc) = self_node, probe_node
     rlo, rhi = sr - size + 1, rows - size
@@ -85,24 +64,14 @@ def _block_start(self_node, probe_node, size: int, rows: int, cols: int) -> tupl
     return r0, c0
 
 
-def region_toward(self_node, probe_node, size: int, rows: int, cols: int) -> Region:
-    """Block of `size`^2 nodes containing self, placed toward the probe.
-
-    Among all in-bounds blocks containing the self node, picks the one
-    whose center is closest to the probe node; ties go to the smallest
-    (row0, col0).
-    """
-    return Region(*_block_start(self_node, probe_node, size, rows, cols), size)
-
-
 def classify(grid, self_node, target_node) -> ScenarioLabel:
     """Run the scenario-identifier over the robot's context grid.
 
     `target_node` is the robot's goal node (a search node counts).  Returns
     the label plus the set of nodes to treat as obstacles; on conflict the
-    2x2 region toward the conflicting robot is attached.  One pass over the
-    bindings collects the robots and the other targets; each block is then
-    tested by its bounds.
+    corner of the 2x2 block toward the conflicting robot is attached.  One
+    pass over the bindings collects the robots and the other targets;
+    `region_toward` places every block, which is then tested by its bounds.
     """
     rows, cols = grid.rows, grid.cols
     goal = tuple(target_node)
@@ -113,21 +82,21 @@ def classify(grid, self_node, target_node) -> ScenarioLabel:
         elif kind == "target" and node != goal:
             others.append(node)
 
-    def robots_near(probe, size):
-        """Robots in the size x size block toward the probe."""
-        r0, c0 = _block_start(self_node, probe, size, rows, cols)
+    def robots_in(corner, size):
+        """Robots in the size x size block at `corner`."""
+        r0, c0 = corner
         return [(n, rid) for n, rid in robots
                 if r0 <= n[0] < r0 + size and c0 <= n[1] < c0 + size]
 
-    r0, c0 = _block_start(self_node, target_node, 3, rows, cols)
+    r0, c0 = region_toward(self_node, target_node, 3, rows, cols)
     masked: set = set()
     # robots to run the conflict-with-robot check on: those in the goal
     # block, and those near any other target in it; a target with no robot
     # near it becomes an obstacle
-    candidates = set(robots_near(target_node, 3)) if robots else set()
+    candidates = set(robots_in((r0, c0), 3)) if robots else set()
     for tnode in others:
         if r0 <= tnode[0] < r0 + 3 and c0 <= tnode[1] < c0 + 3:
-            near = robots and robots_near(tnode, 3)
+            near = robots and robots_in(region_toward(self_node, tnode, 3, rows, cols), 3)
             if near:
                 candidates.update(near)
             else:
@@ -136,8 +105,9 @@ def classify(grid, self_node, target_node) -> ScenarioLabel:
     # each robot is bound to one node, so ids break every distance tie
     for _dist, _rid, rnode in sorted((math.dist(n, self_node), rid, n)
                                      for n, rid in candidates):
-        if robots_near(rnode, 2):
-            return ScenarioLabel(CONFLICT, masked, region_toward(self_node, rnode, 2, rows, cols))
+        corner = region_toward(self_node, rnode, 2, rows, cols)
+        if robots_in(corner, 2):
+            return ScenarioLabel(CONFLICT, masked, corner)
         masked.add(rnode)
     return ScenarioLabel(CONFLICT_FREE, masked)
 
@@ -153,17 +123,22 @@ def encode_free_state(position, target_position) -> np.ndarray:
     )
 
 
-def encode_conflict_state(region: Region, bindings: dict, self_node,
+def encode_conflict_state(corner, bindings: dict, self_node,
                           own_target, robot_goals: dict) -> np.ndarray:
-    """12-vector over the 2x2 region, clockwise starting at the self node.
+    """12-vector over the 2x2 block at `corner`, clockwise from the self node.
 
     Each node contributes [sign(dx to that robot's goal), sign(dy), flag]
     with flag 1 for self, 0 otherwise; empty nodes (or robots with no known
-    goal) contribute zeros.  dx/dy are column/row displacements.
+    goal) contribute zeros.  dx/dy are column/row displacements.  Only the
+    block's four nodes are looked up in `bindings`.
     """
+    r0, c0 = corner
+    self_node = tuple(self_node)
+    ring = [(r0 + 1, c0), (r0 + 1, c0 + 1), (r0, c0 + 1), (r0, c0)]  # NW, NE, SE, SW
+    start = ring.index(self_node)
     out = np.zeros(12)
-    for i, node in enumerate(region.clockwise_from(self_node)):
-        if node == tuple(self_node):
+    for i, node in enumerate(ring[start:] + ring[:start]):
+        if node == self_node:
             goal, flag = own_target, 1.0
         else:
             b = bindings.get(node)

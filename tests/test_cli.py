@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -358,6 +359,21 @@ def test_swapped_policy_files_rejected_at_load(tmp_path, policy_files):
                                                    "takes 12 inputs, this one takes 2")):
         cli.main(["run", "--out", str(tmp_path), "--policy-conflict", free,
                   "--policy-free", conflict])
+
+
+def test_net_of_the_wrong_output_width_rejected_at_load(tmp_path, policy_files):
+    # a free net whose three outputs are consistent through every matrix
+    spec = SimpleNamespace(input_dim=2, hidden_widths=(16, 16), skip_concat=None,
+                           output_dim=3)
+    rng = np.random.default_rng(0)
+    weights = [rng.standard_normal(s) for s in ((16, 3), (16, 17), (3, 17))]
+    bad = tmp_path / "narrow.qnet"
+    qnet.save_weights(SimpleNamespace(spec=spec, weights=weights), bad)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: a net with 3 outputs")):
+        cli.main(["run", "--out", str(out), "--policy-conflict", policy_files[0],
+                  "--policy-free", str(bad)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["train-conflict", "train-free"])

@@ -14,12 +14,13 @@ from gridswarm.qnet import (
     ReplayBuffer,
     TrainerConfig,
     act_epsilon_greedy,
+    evaluate_conflict_policy,
     load_weights,
     save_weights,
     sync_target,
     td_loss,
 )
-from gridswarm.scenario import STAY
+from gridswarm.scenario import STAY, sign
 
 
 def make(spec, seed=0):
@@ -228,6 +229,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"shape \(16, 2\).*needs \(16, 3\)"):
             load_weights(p)
 
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_output_width_must_be_one_per_action(self, tmp_path, width):
+        # a stand-in writes a free net whose matrices all agree with a
+        # width-`width` output, which no NetworkSpec can describe
+        spec = SimpleNamespace(input_dim=2, hidden_widths=(16, 16), skip_concat=None,
+                               output_dim=width)
+        rng = np.random.default_rng(0)
+        weights = [rng.standard_normal(s) for s in ((16, 3), (16, 17), (width, 17))]
+        p = tmp_path / "w.qnet"
+        save_weights(SimpleNamespace(spec=spec, weights=weights), p)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: a net with {width} "
+                                             "outputs; every net has one per action, 5"):
+            load_weights(p)
+
+    def test_output_width_is_not_settable(self):
+        assert NetworkSpec.conflict().output_dim == NetworkSpec.free().output_dim == 5
+        with pytest.raises(TypeError):
+            NetworkSpec(2, (16, 16), None, 3)
+
 
 class TestReplayAndConfig:
     def test_replay_wraps_around(self):
@@ -338,6 +358,27 @@ class TestGames:
             expected += ConflictGame.STEP_PENALTY
         assert game.reward_total == [expected, expected]
 
+    def test_encode_matches_a_reference_that_binds_only_the_block(self):
+        """Random-action episodes, states after a collision included: the
+        encoding reads only the block's nodes, so binding every active peer
+        gives the bytes of binding only those inside the block."""
+        rng = np.random.default_rng(11)
+        checked = 0
+        for n_agents in (2, 3, 4):
+            game = ConflictGame(n_agents)
+            for _ in range(300):
+                game.reset(rng)
+                while True:
+                    active = [i for i in range(n_agents) if not game.done[i]]
+                    for i in range(n_agents):
+                        assert game.encode(i).tobytes() == reference_encode(game, i).tobytes()
+                        checked += 1
+                    if game.finished:
+                        break
+                    game.step({i: int(rng.choice(np.flatnonzero(game.action_mask(i))))
+                               for i in active})
+        assert checked > 10_000
+
     def test_free_game_reward_bounds(self):
         rng = np.random.default_rng(3)
         game = FreeGame()
@@ -347,6 +388,45 @@ class TestGames:
                 avail = np.flatnonzero(game.action_mask())
                 game.step(int(avail[rng.integers(len(avail))]))
             assert game.reward_total <= 1.0
+
+
+def reference_encode(game, i):
+    """Agent i's 12 inputs, built node by node: the 2x2 block toward the
+    nearest active peer (ties to the lower index), clockwise from self, with
+    only the active peers inside the block bound (the later one where two
+    share a node, after a collision)."""
+    r, c = game.pos[i]
+    others = [j for j in range(game.n_agents) if j != i and not game.done[j]]
+    if others:
+        j = min(others, key=lambda j: (abs(game.pos[j][0] - r) + abs(game.pos[j][1] - c), j))
+        orr, oc = game.pos[j]
+    else:
+        orr, oc = r, c
+    r0 = min(max(r - 1 if orr < r else r, 0), game.SIZE - 2)
+    c0 = min(max(c - 1 if oc < c else c, 0), game.SIZE - 2)
+    clockwise = [(r0 + 1, c0), (r0 + 1, c0 + 1), (r0, c0 + 1), (r0, c0)]
+    occupant = {}
+    for k in others:
+        if game.pos[k] in clockwise:
+            occupant[game.pos[k]] = k
+    start = clockwise.index((r, c))
+    out = np.zeros(12)
+    for slot, node in enumerate(clockwise):
+        if node == (r, c):
+            goal, flag = game.goal[i], 1.0
+        elif node in occupant:
+            goal, flag = game.goal[occupant[node]], 0.0
+        else:
+            continue
+        k = 3 * ((slot - start) % 4)
+        out[k:k + 3] = sign(goal[1] - node[1]), sign(goal[0] - node[0]), flag
+    return out
+
+
+@pytest.mark.parametrize("n_cases", [0, -5])
+def test_conflict_evaluation_needs_at_least_one_case(n_cases):
+    with pytest.raises(ValueError, match="n_cases must be at least 1"):
+        evaluate_conflict_policy(make(NetworkSpec.conflict()), n_cases=n_cases)
 
 
 def test_free_training_runs_and_updates_weights():

@@ -11,7 +11,6 @@ from gridswarm.scenario import (
     ACTIONS,
     CONFLICT,
     CONFLICT_FREE,
-    Region,
     ScenarioLabel,
     action_mask_bounds,
     action_mask_grid,
@@ -24,6 +23,12 @@ from gridswarm.scenario import (
 from gridswarm.world import ArenaConfig
 
 ARENA = ArenaConfig(swarm_bound_radius=30.0)
+
+
+def block_nodes(corner, size):
+    """Every node of the size x size block whose SW corner is `corner`."""
+    r0, c0 = corner
+    return [(r, c) for r in range(r0, r0 + size) for c in range(c0, c0 + size)]
 
 
 def grid_with(objects, centroid=(45.0, 45.0)):
@@ -47,15 +52,12 @@ def test_action_geometry():
 
 def test_region_toward_contains_self():
     for probe in [(0, 0), (4, 4), (2, 3)]:
-        reg = region_toward((2, 2), probe, 3, 5, 5)
-        assert reg.contains((2, 2))
+        assert (2, 2) in block_nodes(region_toward((2, 2), probe, 3, 5, 5), 3)
 
 
 def test_region_toward_leans_toward_probe():
-    reg = region_toward((2, 2), (4, 4), 3, 5, 5)
-    assert (reg.row0, reg.col0) == (2, 2)
-    reg = region_toward((2, 2), (0, 0), 3, 5, 5)
-    assert (reg.row0, reg.col0) == (0, 0)
+    assert region_toward((2, 2), (4, 4), 3, 5, 5) == (2, 2)
+    assert region_toward((2, 2), (0, 0), 3, 5, 5) == (0, 0)
 
 
 def _region_toward_by_search(self_node, probe_node, size, rows, cols):
@@ -75,8 +77,8 @@ def test_region_toward_matches_nearest_centre_search():
         probes = list(itertools.product(range(-2, rows + 2), range(-2, cols + 2)))
         for self_node in itertools.product(range(rows), range(cols)):
             for probe in probes:
-                reg = region_toward(self_node, probe, size, rows, cols)
-                assert (reg.row0, reg.col0) == _region_toward_by_search(
+                corner = region_toward(self_node, probe, size, rows, cols)
+                assert corner == _region_toward_by_search(
                     self_node, probe, size, rows, cols), (rows, cols, size, self_node, probe)
                 checked += 1
     assert checked == 401_408
@@ -97,9 +99,24 @@ def test_math_dist_equals_hypot_of_differences(v):
 
 
 def test_clockwise_ring_starts_at_self():
-    reg = Region(1, 1, 2)
-    assert reg.clockwise_from((2, 1)) == [(2, 1), (2, 2), (1, 2), (1, 1)]
-    assert reg.clockwise_from((1, 2)) == [(1, 2), (1, 1), (2, 1), (2, 2)]
+    """Self fills the first triple; a peer lands in the triple its clockwise
+    step from self names, for every self node of block (1, 1)."""
+    clockwise = [(2, 1), (2, 2), (1, 2), (1, 1)]  # NW, NE, SE, SW
+    goal = (9, 0)  # north-west of every node: triple (-1, +1)
+    for s, self_node in enumerate(clockwise):
+        state = encode_conflict_state((1, 1), {}, self_node, own_target=goal,
+                                      robot_goals={})
+        assert state.tolist() == [-1, 1, 1] + [0] * 9
+        for p, peer in enumerate(clockwise):
+            if peer == self_node:
+                continue
+            state = encode_conflict_state((1, 1), {peer: ("robot", 7)}, self_node,
+                                          own_target=goal, robot_goals={7: goal})
+            k = 3 * ((p - s) % 4)
+            want = [0] * 12
+            want[:3] = [-1, 1, 1]
+            want[k:k + 3] = [-1, 1, 0]
+            assert state.tolist() == want, (self_node, peer)
 
 
 def test_classify_free_when_alone():
@@ -117,8 +134,9 @@ def test_classify_conflict_with_adjacent_robot():
     ])
     label = classify(g, g.node_of[("self", 0)], g.node_of[("target", 1)])
     assert label.label == CONFLICT
-    assert label.conflict_region.contains(g.node_of[("self", 0)])
-    assert label.conflict_region.contains(g.node_of[("robot", 2)])
+    block = block_nodes(label.conflict_region, 2)
+    assert g.node_of[("self", 0)] in block
+    assert g.node_of[("robot", 2)] in block
 
 
 def test_classify_masks_far_robot():
@@ -148,9 +166,9 @@ def test_classify_masks_other_target_without_robots():
 
 # -- classify against a reference: the walk over every node of every region --
 
-def _foreign_robot_nodes(grid, region):
+def _foreign_robot_nodes(grid, corner, size):
     out = []
-    for n in region.nodes():
+    for n in block_nodes(corner, size):
         b = grid.bindings.get(n)
         if b is not None and b[0] == "robot":
             out.append((n, b[1]))
@@ -163,22 +181,22 @@ def reference_classify(grid, self_node, target_node):
     reg = region_toward(self_node, target_node, 3, rows, cols)
     candidates = []
     other_targets = []
-    for n in reg.nodes():
+    for n in block_nodes(reg, 3):
         b = grid.bindings.get(n)
         if b is not None and b[0] == "target" and n != tuple(target_node):
             other_targets.append((b[1], n))
     for _tid, tnode in sorted(other_targets):
         reg_t = region_toward(self_node, tnode, 3, rows, cols)
-        robots_near = _foreign_robot_nodes(grid, reg_t)
+        robots_near = _foreign_robot_nodes(grid, reg_t, 3)
         if robots_near:
             candidates.extend(robots_near)
         else:
             masked.add(tnode)
-    candidates.extend(_foreign_robot_nodes(grid, reg))
+    candidates.extend(_foreign_robot_nodes(grid, reg, 3))
     ordered = sorted(set(candidates), key=lambda nr: (math.dist(nr[0], self_node), nr[1]))
     for rnode, _rid in ordered:
         reg2 = region_toward(self_node, rnode, 2, rows, cols)
-        if _foreign_robot_nodes(grid, reg2):
+        if _foreign_robot_nodes(grid, reg2, 2):
             return ScenarioLabel(CONFLICT, masked, reg2)
         masked.add(rnode)
     return ScenarioLabel(CONFLICT_FREE, masked)
@@ -221,21 +239,19 @@ def test_free_state_signs():
 
 def test_conflict_state_swap_pair():
     """Two robots on adjacent nodes each wanting the other's node."""
-    region = Region(0, 0, 2)
     tl, tr = (1, 0), (1, 1)  # top-left and top-right of the block
     bindings = {tr: ("robot", 2)}
-    s1 = encode_conflict_state(region, bindings, tl, own_target=tr,
+    s1 = encode_conflict_state((0, 0), bindings, tl, own_target=tr,
                                robot_goals={2: tl})
     assert s1.tolist() == [1, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0]
     bindings = {tl: ("robot", 1)}
-    s2 = encode_conflict_state(region, bindings, tr, own_target=tl,
+    s2 = encode_conflict_state((0, 0), bindings, tr, own_target=tl,
                                robot_goals={1: tr})
     assert s2.tolist() == [-1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0]
 
 
 def test_conflict_state_peer_without_goal():
-    region = Region(0, 0, 2)
-    s = encode_conflict_state(region, {(0, 1): ("robot", 5)}, (1, 0),
+    s = encode_conflict_state((0, 0), {(0, 1): ("robot", 5)}, (1, 0),
                               own_target=(0, 0), robot_goals={})
     # peer triple contributes nothing without a known goal
     assert s.tolist() == [0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
