@@ -5,6 +5,9 @@ a YAML document overriding any subset of the library defaults (print them
 with `gridswarm defaults`; unknown keys are rejected); all randomness flows
 from a master seed through a splitmix64 stream so every output is
 bit-reproducible.
+
+PyYAML loads only for `--config` and `gridswarm defaults`, and the process
+pool only for `sweep --jobs` above 1.
 """
 
 from __future__ import annotations
@@ -15,12 +18,10 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from gridswarm import qnet
 from gridswarm.motion import KinematicParams, PIState
@@ -144,6 +145,8 @@ def load_config(path) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return cfg
+    import yaml
+
     with open(path) as f:
         override = yaml.safe_load(f)
     return cfg if override is None else _merge(cfg, override)
@@ -282,6 +285,8 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
     # policies: never start more workers than there are runs
     workers = min(jobs, len(job_list))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init,
             initargs=(conflict_path, free_path),
@@ -406,6 +411,8 @@ def cmd_sweep(args):
 
 
 def cmd_defaults(_args):
+    import yaml
+
     print(yaml.safe_dump(DEFAULT_CONFIG, sort_keys=False))
 
 

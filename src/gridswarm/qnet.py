@@ -53,9 +53,12 @@ class NetworkSpec:
 
     def __post_init__(self):
         n, skip = len(self.hidden_widths), self.skip_concat
-        if n < 1 or (skip is not None and not 1 <= skip[0] < skip[1] <= n):
+        if n < 1 or min(self.hidden_widths) < 1 \
+                or (skip is not None and not 1 <= skip[0] < skip[1] <= n):
             raise ValueError(f"no network has hidden widths {self.hidden_widths} "
                              f"with skip_concat {skip}")
+        if self.input_dim < 1:
+            raise ValueError(f"no network takes {self.input_dim} inputs")
 
     @classmethod
     def conflict(cls) -> "NetworkSpec":

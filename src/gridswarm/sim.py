@@ -18,10 +18,9 @@ SEQUENCE_TIMEOUT seconds without progress.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,7 +133,9 @@ class Mission:
             )
             for i in range(config.n_robots)
         ]
-        self.world = WorldState(robots=robots, targets=copy.deepcopy(targets))
+        # the mission's own targets: visited_by is their one mutable field
+        own = [replace(t, visited_by=set(t.visited_by)) for t in targets]
+        self.world = WorldState(robots=robots, targets=own)
         self.targets_by_id = {t.id: t for t in self.world.targets}
         self.ctl = {r.id: _RobotCtl() for r in robots}
         self.first_detect: dict = {}

@@ -347,7 +347,8 @@ def test_sweep_pool_never_exceeds_the_runs(tmp_path, policy_files, monkeypatch,
     cfg = small_cfg()
     cfg["sweep"].update(values=values, repetitions=reps)
     SerialPool.sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # run_sweep imports the pool from concurrent.futures only when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     got = cli.run_sweep(cfg, 7, *policy_files, tmp_path / "pool", jobs=jobs)
     assert SerialPool.sizes == pools
     assert got["rows"] == cli.run_sweep(cfg, 7, *policy_files, tmp_path / "ser")["rows"]
@@ -361,16 +362,36 @@ def test_swapped_policy_files_rejected_at_load(tmp_path, policy_files):
                   "--policy-free", conflict])
 
 
+def save_free_net(path, hidden_widths, outputs):
+    """A 2-input net whose matrices all agree with `hidden_widths` and `outputs`,
+    written by a stand-in, since no NetworkSpec may describe it."""
+    spec = SimpleNamespace(input_dim=2, hidden_widths=hidden_widths, skip_concat=None,
+                           output_dim=outputs)
+    rng = np.random.default_rng(0)
+    widths = (*hidden_widths, outputs)
+    weights = [rng.standard_normal((w, n + 1)) for w, n in zip(widths, (2, *widths))]
+    qnet.save_weights(SimpleNamespace(spec=spec, weights=weights), path)
+
+
 def test_net_of_the_wrong_output_width_rejected_at_load(tmp_path, policy_files):
     # a free net whose three outputs are consistent through every matrix
-    spec = SimpleNamespace(input_dim=2, hidden_widths=(16, 16), skip_concat=None,
-                           output_dim=3)
-    rng = np.random.default_rng(0)
-    weights = [rng.standard_normal(s) for s in ((16, 3), (16, 17), (3, 17))]
     bad = tmp_path / "narrow.qnet"
-    qnet.save_weights(SimpleNamespace(spec=spec, weights=weights), bad)
+    save_free_net(bad, (16, 16), 3)
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=re.escape(f"{bad}: a net with 3 outputs")):
+        cli.main(["run", "--out", str(out), "--policy-conflict", policy_files[0],
+                  "--policy-free", str(bad)])
+    assert not out.exists()
+
+
+def test_net_with_an_empty_layer_rejected_at_load(tmp_path, policy_files):
+    # with no units in its last hidden layer the net would answer its output
+    # bias whatever the input: a constant policy
+    bad = tmp_path / "hollow.qnet"
+    save_free_net(bad, (16, 0), 5)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: no network has hidden "
+                                                   "widths (16, 0)")):
         cli.main(["run", "--out", str(out), "--policy-conflict", policy_files[0],
                   "--policy-free", str(bad)])
     assert not out.exists()

@@ -229,18 +229,35 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"shape \(16, 2\).*needs \(16, 3\)"):
             load_weights(p)
 
+    @staticmethod
+    def save_stand_in(path, input_dim, hidden_widths, outputs):
+        """A net whose matrices all agree with its widths, written by a
+        stand-in, since no NetworkSpec may describe it."""
+        spec = SimpleNamespace(input_dim=input_dim, hidden_widths=hidden_widths,
+                               skip_concat=None, output_dim=outputs)
+        widths = (*hidden_widths, outputs)
+        rng = np.random.default_rng(0)
+        weights = [rng.standard_normal((w, n + 1))
+                   for w, n in zip(widths, (input_dim, *widths))]
+        save_weights(SimpleNamespace(spec=spec, weights=weights), path)
+
     @pytest.mark.parametrize("width", [0, 3])
     def test_output_width_must_be_one_per_action(self, tmp_path, width):
-        # a stand-in writes a free net whose matrices all agree with a
-        # width-`width` output, which no NetworkSpec can describe
-        spec = SimpleNamespace(input_dim=2, hidden_widths=(16, 16), skip_concat=None,
-                               output_dim=width)
-        rng = np.random.default_rng(0)
-        weights = [rng.standard_normal(s) for s in ((16, 3), (16, 17), (width, 17))]
         p = tmp_path / "w.qnet"
-        save_weights(SimpleNamespace(spec=spec, weights=weights), p)
+        self.save_stand_in(p, 2, (16, 16), width)
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: a net with {width} "
                                              "outputs; every net has one per action, 5"):
+            load_weights(p)
+
+    @pytest.mark.parametrize("input_dim, hidden, message", [
+        (0, (16, 16), "no network takes 0 inputs"),
+        (2, (16, 0), re.escape("no network has hidden widths (16, 0)")),
+    ], ids=["no-inputs", "empty-layer"])
+    def test_every_layer_needs_a_unit(self, tmp_path, input_dim, hidden, message):
+        # a layer of no units would make the output the same for every input
+        p = tmp_path / "w.qnet"
+        self.save_stand_in(p, input_dim, hidden, 5)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}"):
             load_weights(p)
 
     def test_output_width_is_not_settable(self):

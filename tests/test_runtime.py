@@ -1,7 +1,9 @@
-"""The runtime needs no scipy: scipy is a test-only dependency.
+"""The runtime needs no scipy, and loads PyYAML and the process pool only on demand.
 
 A fresh interpreter refuses every scipy import, then imports the CLI, runs a
-default mission, a short self-play training run and the `defaults` verb.
+default mission and a short self-play training run, and checks that neither
+loaded PyYAML or the process pool. A one-run `jobs=1` sweep must still leave
+the pool out; the `defaults` verb, which prints YAML, then loads PyYAML.
 """
 
 import os
@@ -13,6 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = r"""
 import sys
+import tempfile
+from pathlib import Path
 
 
 class NoScipy:
@@ -37,7 +41,17 @@ result = cli.build_mission(cfg, cli.splitmix64(0, 0),
 assert result.success, result.summary()
 assert solves, "no multi-robot solve ran"
 qnet.train_conflict_selfplay(qnet.TrainerConfig(episodes=100), n_agents=2, seed=0)
+POOL = ("concurrent.futures.process", "multiprocessing")
+loaded = [m for m in ("yaml", *POOL) if m in sys.modules]
+assert not loaded, f"a mission and a training run loaded {loaded}"
+cfg["sweep"].update(values=[3], repetitions=1)
+with tempfile.TemporaryDirectory() as out:
+    cli.run_sweep(cfg, 0, f"{policies}/conflict.qnet", f"{policies}/free.qnet",
+                  Path(out), jobs=1)
+loaded = [m for m in POOL if m in sys.modules]
+assert not loaded, f"a one-run sweep loaded {loaded}"
 cli.main(["defaults"])
+assert "yaml" in sys.modules
 assert "scipy" not in sys.modules
 print("runtime ok")
 """

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -114,6 +115,26 @@ def test_seed_changes_outcome(nets):
     a = run_mission(MissionConfig(n_robots=4, max_time=30.0, seed=1, log_trajectory=True), tgts, *nets)
     b = run_mission(MissionConfig(n_robots=4, max_time=30.0, seed=2, log_trajectory=True), tgts, *nets)
     assert a.trajectory != b.trajectory
+
+
+def test_mission_runs_on_its_own_copy_of_the_targets(nets):
+    # a multi-visit target robot 4 has already visited, one that falls near
+    # the spawn box and one far off
+    tgts = [Target(0, (12.0, 12.0), 3, sequence_progress=1, visit_sequence=(4,),
+                   visited_by={4}),
+            Target(1, (10.0, 10.0), 1),
+            Target(2, (70.0, 60.0), 2)]
+    before = copy.deepcopy(tgts)
+    cfg = MissionConfig(n_robots=6, max_time=120.0, seed=1, log_trajectory=True)
+    m = Mission(cfg, tgts, *nets)
+    res = m.run()
+    assert tgts == before
+    assert m.world.targets != before  # the run did change its own targets
+    for mine, theirs in zip(m.world.targets, tgts):
+        assert mine is not theirs and mine.visited_by is not theirs.visited_by
+    ref = Mission(cfg, copy.deepcopy(tgts), *nets).run()
+    assert res.summary() == ref.summary()
+    assert res.trajectory == ref.trajectory
 
 
 def test_mrt_requires_two_distinct_robots(nets):
