@@ -356,11 +356,13 @@ def _trainer_config(args, defaults: dict) -> qnet.TrainerConfig:
 
 
 def cmd_train_conflict(args):
+    # every agent count trains with this config; a rejected one leaves no
+    # output directory behind
+    config = _trainer_config(args, CONFLICT_TRAIN_DEFAULTS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     net = None
     for n_agents in range(2, args.agents + 1):
-        config = _trainer_config(args, CONFLICT_TRAIN_DEFAULTS)
         net, log = qnet.train_conflict_selfplay(
             config, n_agents=n_agents, seed=splitmix64(args.seed, n_agents),
             base_net=net,
@@ -374,9 +376,9 @@ def cmd_train_conflict(args):
 
 
 def cmd_train_free(args):
+    config = _trainer_config(args, FREE_TRAIN_DEFAULTS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _trainer_config(args, FREE_TRAIN_DEFAULTS)
     net, log = qnet.train_free(config, seed=args.seed)
     qnet.save_weights(net, out / "free.qnet")
     qnet.save_reward_log(log, out / "free_rewards.csv")

@@ -9,14 +9,20 @@ softmax whose entries are read directly as Q-values.
 Everything is numpy float64 and hand-backpropagated so gradients can be
 checked against finite differences.
 
-Each net keeps its weights in one flat buffer and its gradients in a second
-of the same layout, each seen as a tuple of per-layer views, and one
-workspace of preallocated buffers per batch size that both passes write
-into.  What a caller gets back lives as follows:
+Each net keeps its weights and its DQN target copy of them in the two rows
+of one buffer, and its gradients in a flat buffer of the row's layout, each
+seen as a tuple of per-layer views.  The target row changes only at
+`sync_target`.  The gradient buffer comes with the first `backward`, so a
+loaded policy that only acts holds none.  One workspace of preallocated
+buffers per batch size serves every pass: `forward_cached` runs the weights
+alone, and `forward_pair` runs the weights and the target row as one
+stacked pass, which `td_loss` uses.  What a caller gets back lives as
+follows:
 
-- q from `forward_cached` (and `forward`) is a fresh array;
-- the layer inputs `hs` from `forward_cached` belong to the net and hold
-  until its next pass at the same batch size;
+- q from `forward_cached` (and `forward`), and q and the target's q from
+  `forward_pair`, are fresh arrays;
+- the layer inputs `hs` from `forward_cached` and `forward_pair` belong to
+  the net and hold until its next pass at the same batch size;
 - the gradients from `backward` (and `td_loss`) are views into the net's
   gradient buffer and hold until its next `backward`; `sgd_step` scales
   them by the learning rate in place.
@@ -90,11 +96,13 @@ class NetworkSpec:
 class QNetwork:
     """Weights plus forward/backward passes for one NetworkSpec.
 
-    Every weight matrix is a view into one flat float64 buffer, in the order
-    of `spec.weight_shapes()`, and every gradient a view of the same layout
-    into a second one, so an SGD step and a target sync are a call or two
-    each.  `weights` is a read-only tuple of those views, so neither it nor
-    an entry can be rebound: write into an entry in place.
+    Every weight matrix is a view into row 0 of one (2, n) float64 buffer,
+    in the order of `spec.weight_shapes()`; row 1, of the same layout, holds
+    the target net's weights, and every gradient is a view of that layout
+    into a flat buffer of its own, allocated at the first `backward`, so an
+    SGD step and a target sync are a call or two each.  `weights` is a
+    read-only tuple of the row-0 views, so neither it nor an entry can be
+    rebound: write into an entry in place.
 
     The buffer lifetimes are in the module docstring.
     """
@@ -105,13 +113,15 @@ class QNetwork:
         if found != shapes:
             raise ValueError(f"weight shapes {found}, {spec} needs {shapes}")
         self.spec = spec
-        self._flat = np.empty(sum(rows * cols for rows, cols in shapes))
-        self._grad_flat = np.zeros_like(self._flat)
+        self._rows = np.empty((2, sum(rows * cols for rows, cols in shapes)))
+        self._flat, self._target = self._rows
+        self._grad_flat = self._grads = None  # allocated at the first backward
         self._weights = _split(self._flat, shapes)
         for view, w in zip(self._weights, weights):
             view[...] = w
-        self._grads = _split(self._grad_flat, shapes)
-        self._transposed = [w.T for w in self._weights]
+        self._target[...] = self._flat
+        # (2, in+1, out) per layer: the transposed weights over both rows
+        self._transposed = [np.swapaxes(w, 1, 2) for w in _split(self._rows, shapes)]
         self._unbiased = [w[:, :-1] for w in self._weights]
         self._work = {}  # batch size -> _Workspace
 
@@ -124,7 +134,8 @@ class QNetwork:
         return cls(spec, weights)
 
     def copy(self) -> "QNetwork":
-        """A net with the same weights in its own buffers."""
+        """A net with the same weights in its own buffers; its target row
+        starts as a copy of those weights."""
         return QNetwork(self.spec, self.weights)
 
     @property
@@ -138,6 +149,14 @@ class QNetwork:
             work = self._work[batch] = _Workspace(self, batch)
         return work
 
+    def _batch(self, states) -> np.ndarray:
+        s = np.atleast_2d(np.asarray(states, dtype=float))
+        if s.shape[1] != self.spec.input_dim:
+            raise ValueError(
+                f"state width {s.shape[1]} != input_dim {self.spec.input_dim}"
+            )
+        return s
+
     def forward_cached(self, states: np.ndarray):
         """Batch forward pass; returns (q, augmented layer inputs).
 
@@ -148,27 +167,23 @@ class QNetwork:
         belongs to the net and is valid until its next pass at the same
         batch size; q is a fresh array.
         """
-        s = np.atleast_2d(np.asarray(states, dtype=float))
-        if s.shape[1] != self.spec.input_dim:
-            raise ValueError(
-                f"state width {s.shape[1]} != input_dim {self.spec.input_dim}"
-            )
+        s = self._batch(states)
         work = self._workspace(s.shape[0])
         np.copyto(work.states, s)
-        # outputs are passed positionally: an out= keyword costs a parse per call
-        for x, wt, pre, h, skip_to in work.layers:
-            if pre is None:  # the linear layer writes its activations in place
-                np.matmul(x, wt, h)
-            else:
-                np.matmul(x, wt, pre)
-                np.tanh(pre, h)
-            if skip_to is not None:
-                np.copyto(skip_to, h)
-        z, row = work.logits, work.row
-        np.matmul(work.inputs[-1], self._transposed[-1], z)
-        np.subtract(z, np.maximum.reduce(z, 1, None, row, True), z)
-        np.exp(z, z)
-        return z / np.add.reduce(z, 1, None, row, True), work.inputs
+        return _run(work.single), work.inputs
+
+    def forward_pair(self, states: np.ndarray, next_states: np.ndarray):
+        """The pass of `forward_cached` on `states`, and the target net's on
+        `next_states`, as one stacked pass; returns (q, q of the target,
+        layer inputs of the online pass), which live as `forward_cached`'s."""
+        s, s2 = self._batch(states), self._batch(next_states)
+        if s.shape != s2.shape:
+            raise ValueError(f"{s.shape[0]} states but {s2.shape[0]} next states")
+        work = self._workspace(s.shape[0])
+        np.copyto(work.states, s)
+        np.copyto(work.next_states, s2)
+        q, q2 = _run(work.pair)
+        return q, q2, work.inputs
 
     def forward(self, state: np.ndarray) -> np.ndarray:
         q, _ = self.forward_cached(state)
@@ -186,6 +201,11 @@ class QNetwork:
         work = self._work.get(q.shape[0])
         if work is None or hs is not work.inputs:
             raise ValueError("hs must be the layer inputs of this net's last pass")
+        if work.back is None:  # the first backward at this batch size
+            if self._grads is None:
+                self._grad_flat = np.zeros_like(self._flat)
+                self._grads = _split(self._grad_flat, self.spec.weight_shapes())
+            work.plan_backward(self)
         delta = work.delta_out
         # flat index of each (b, a_b); an action outside the row raises
         taken = np.ravel_multi_index((work.rows, actions), q.shape)
@@ -218,21 +238,46 @@ class QNetwork:
 
 
 def _split(flat: np.ndarray, shapes: list) -> tuple:
-    """Consecutive C-ordered views of `flat`, one per shape."""
+    """Consecutive C-ordered views of the last axis of `flat`, one per shape."""
     views, start = [], 0
     for rows, cols in shapes:
-        views.append(flat[start:start + rows * cols].reshape(rows, cols))
+        view = flat[..., start:start + rows * cols]
+        views.append(view.reshape(flat.shape[:-1] + (rows, cols)))
         start += rows * cols
     return tuple(views)
 
 
-class _Workspace:
-    """Every buffer and view both passes of one net need at one batch size.
+def _run(plan) -> np.ndarray:
+    """Run one forward pass of a `_Workspace` plan, 2-D or stacked; the
+    softmax reduces over the last axis."""
+    layers, x, wt, z, row = plan
+    # outputs are passed positionally: an out= keyword costs a parse per call
+    for x_k, wt_k, pre, h, skip_to in layers:
+        if pre is None:  # the linear layer writes its activations in place
+            np.matmul(x_k, wt_k, h)
+        else:
+            np.matmul(x_k, wt_k, pre)
+            np.tanh(pre, h)
+        if skip_to is not None:
+            np.copyto(skip_to, h)
+    np.matmul(x, wt, z)
+    np.subtract(z, np.maximum.reduce(z, -1, None, row, True), z)
+    np.exp(z, z)
+    return z / np.add.reduce(z, -1, None, row, True)
 
-    `layers` drives the forward pass, one entry per hidden layer: (input,
-    transposed weights, pre-activation buffer or None on the linear layer,
-    activation view, view of the concatenation input the activation is
-    copied into, or None).
+
+class _Workspace:
+    """Every buffer and view the passes of one net need at one batch size.
+
+    Each layer input is a (2, B, in+1) buffer: slice 0 is the online pass's
+    and slice 1 the target pass's.  `pair` plans the stacked pass over both
+    slices and `single` the pass over slice 0 alone, whose views have the
+    shapes and strides of a (B, in+1) buffer of their own.  A plan is
+    (layers, output-layer input, its transposed weights, logits buffer,
+    buffer of the max and then the sum of each logit row); `layers` has one
+    entry per hidden layer: (input, transposed weights, pre-activation
+    buffer or None on the linear layer, activation view, view of the
+    concatenation input the activation is copied into, or None).
 
     `back` drives the backward pass, last hidden layer first: (dL/dh, the
     skip part of dL/dh or None, activation view, tanh-derivative buffer or
@@ -241,32 +286,42 @@ class _Workspace:
     buffer or None on layer 1).  dL/dh is the leading columns of the next
     layer's dL/d input (the output layer's, on the last hidden layer); on
     the skip source the concatenation layer's tail columns are added into
-    it in place.
+    it in place.  `plan_backward` allocates these buffers at the net's
+    first backward at this batch size, so a net that only acts holds none.
     """
 
     def __init__(self, net: QNetwork, batch: int):
         spec = net.spec
         widths = spec.hidden_widths
+        skip = spec.skip_concat
+        inputs = [np.ones((2, batch, cols)) for _, cols in spec.weight_shapes()]
+        self.states, self.next_states = inputs[0][..., :-1]
+        layers = []
+        for k, w in enumerate(widths, start=1):
+            skip_to = (inputs[skip[1] - 1][..., -w - 1:-1]
+                       if skip is not None and k == skip[0] else None)
+            pre = None if spec.is_linear(k) else np.empty((2, batch, w))
+            layers.append((inputs[k - 1], net._transposed[k - 1], pre, inputs[k][..., :w],
+                           skip_to))
+        self.pair = (layers, inputs[-1], net._transposed[-1],
+                     np.empty((2, batch, spec.output_dim)), np.empty((2, batch, 1)))
+        self.single = ([tuple(v if v is None else v[0] for v in layer) for layer in layers],
+                       *(v[0] for v in self.pair[1:]))
+        self.inputs = [x[0] for x in inputs]
+        self.back = None  # planned at the net's first backward at this batch size
+
+    def plan_backward(self, net: QNetwork):
+        spec = net.spec
+        widths = spec.hidden_widths
         n = len(widths)
         skip = spec.skip_concat
+        batch = len(self.inputs[0])
         self.rows = np.arange(batch)
-        self.inputs = [np.ones((batch, cols)) for _, cols in spec.weight_shapes()]
-        self.states = self.inputs[0][:, :-1]
-        self.logits = np.empty((batch, spec.output_dim))
-        self.row = np.empty((batch, 1))  # the max, then the sum, of each logit row
         self.cqa_col = np.empty((batch, 1))  # coeff[b] * q[b, a_b]
         self.cqa = self.cqa_col[:, 0]
         self.delta_out = np.empty((batch, spec.output_dim))
         self.delta_flat = self.delta_out.reshape(-1)
         self.dh_out = np.empty((batch, widths[-1]))
-        acts = [None] + [self.inputs[k][:, :w] for k, w in enumerate(widths, start=1)]
-        self.layers = []
-        for k, w in enumerate(widths, start=1):
-            skip_to = (self.inputs[skip[1] - 1][:, -w - 1:-1]
-                       if skip is not None and k == skip[0] else None)
-            pre = None if spec.is_linear(k) else np.empty((batch, w))
-            self.layers.append((self.inputs[k - 1], net._transposed[k - 1], pre, acts[k],
-                                skip_to))
         dinps = {k: np.empty((batch, spec.layer_input_width(k))) for k in range(2, n + 1)}
         dinps[n + 1] = self.dh_out
         self.back = []
@@ -277,23 +332,22 @@ class _Workspace:
                        if skip is not None and k == skip[0] else None)
             deriv = None if spec.is_linear(k) else np.empty((batch, w))
             d = dh if deriv is None else deriv
-            self.back.append((dh, skip_dh, acts[k], deriv, d, d.T,
+            self.back.append((dh, skip_dh, self.inputs[k][:, :w], deriv, d, d.T,
                               self.inputs[k - 1], net._grads[k - 1], net._unbiased[k - 1],
                               dinps.get(k)))
 
 
-def sync_target(net: QNetwork, target_net: QNetwork) -> QNetwork:
-    if net.spec != target_net.spec:
-        raise ValueError("spec mismatch between online and target networks")
-    np.copyto(target_net._flat, net._flat)
-    return target_net
+def sync_target(net: QNetwork):
+    """Copy the net's weights into its target row."""
+    np.copyto(net._target, net._flat)
 
 
-def td_loss(net: QNetwork, target_net: QNetwork, batch: dict, gamma: float):
+def td_loss(net: QNetwork, batch: dict, gamma: float):
     """Mean squared TD error over a batch plus its weight gradients.
 
-    Runs one pass of each net at the batch size and one `backward` of
-    `net`; the gradients are that backward's views.
+    Runs one `forward_pair` of `net` at the batch size, its target row
+    bootstrapping from s', and one `backward`; the gradients are that
+    backward's views.
 
     The max in the bootstrap term runs over the actions available at s'
     only and is zeroed on terminal transitions.
@@ -302,11 +356,10 @@ def td_loss(net: QNetwork, target_net: QNetwork, batch: dict, gamma: float):
     n = len(a)
     if n == 0:
         raise ValueError("empty batch")
-    q2 = target_net.forward_cached(batch["s2"])[0]
+    q, q2, hs = net.forward_pair(s, batch["s2"])
     q2 = np.where(batch["avail2"], q2, -np.inf)
     max_q2 = np.where(batch["terminal"], 0.0, np.maximum.reduce(q2, axis=1))
     y = r + gamma * max_q2
-    q, hs = net.forward_cached(s)
     err = y - q[np.arange(n), a]
     loss = float(np.add.reduce(err * err)) / n  # the bits of np.mean(err**2)
     coeff = -2.0 * err / n
@@ -615,7 +668,7 @@ def _train(net: QNetwork, config: TrainerConfig, rng, game, play):
     `play(game, act, learn)` runs each reset episode to the end, choosing
     through `act(state, avail)` and passing `learn` every transition.
     """
-    target = net.copy()
+    sync_target(net)
     buffer = ReplayBuffer(REPLAY_CAPACITY)
     updates = 0
 
@@ -625,11 +678,11 @@ def _train(net: QNetwork, config: TrainerConfig, rng, game, play):
         if len(buffer) < BATCH_SIZE:
             return
         batch = buffer.sample(BATCH_SIZE, rng)
-        td_loss(net, target, batch, GAMMA)
+        td_loss(net, batch, GAMMA)
         net.sgd_step(lr)
         updates += 1
         if updates % TARGET_SYNC_PERIOD == 0:
-            sync_target(net, target)
+            sync_target(net)
 
     rewards = []
     for episode in range(config.episodes):

@@ -404,6 +404,18 @@ def test_training_budget_below_one_reward_block_rejected(tmp_path, verb):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["train-conflict", "--episodes", "50"],
+    ["train-conflict", "--episodes", "50", "--agents", "3"],
+    ["train-free", "--episodes", "0"],
+])
+def test_rejected_training_budget_leaves_no_output_directory(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="reward_block"):
+        cli.main([*argv, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_defaults_verb(capsys):
     cli.main(["defaults"])
     printed = yaml.safe_load(capsys.readouterr().out)

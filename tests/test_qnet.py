@@ -113,7 +113,6 @@ class TestGradients:
     def test_td_loss_decreases_under_sgd(self):
         rng = np.random.default_rng(0)
         net = make(NetworkSpec.free())
-        target = net.copy()
         batch = {
             "s": rng.normal(size=(32, 2)),
             "a": rng.integers(0, 5, size=32),
@@ -122,28 +121,34 @@ class TestGradients:
             "terminal": rng.random(32) < 0.3,
             "avail2": np.ones((32, 5), dtype=bool),
         }
-        l0, grads = td_loss(net, target, batch, gamma=0.9)
+        l0, grads = td_loss(net, batch, gamma=0.9)
         for w, g in zip(net.weights, grads):
             w -= 0.01 * g
-        l1, _ = td_loss(net, target, batch, gamma=0.9)
+        l1, _ = td_loss(net, batch, gamma=0.9)
         assert l1 < l0
+
+    def test_forward_pair_needs_one_next_state_per_state(self):
+        net = make(NetworkSpec.free())
+        with pytest.raises(ValueError, match="3 states but 1 next states"):
+            net.forward_pair(np.zeros((3, 2)), np.zeros((1, 2)))
 
     def test_td_target_terminal_and_mask(self):
         net = make(NetworkSpec.free())
-        target = net.copy()
+        target = net.copy()  # the weights the target row keeps
+        net.weights[1][:, -1] += 0.5  # moves the online net off its target row
         s = np.zeros((1, 2))
         base = {
             "s": s, "a": np.array([0]), "r": np.array([0.5]), "s2": s,
             "terminal": np.array([True]), "avail2": np.ones((1, 5), dtype=bool),
         }
         q = net.forward(s[0])
-        l_term, _ = td_loss(net, target, base, gamma=0.9)
+        l_term, _ = td_loss(net, base, gamma=0.9)
         assert l_term == pytest.approx((0.5 - q[0]) ** 2)
         # only action 3 available at s2: bootstrap uses q2[3], not the max
         batch = dict(base, terminal=np.array([False]),
                      avail2=np.eye(5, dtype=bool)[3][None, :])
         q2 = target.forward(s[0])
-        l_masked, _ = td_loss(net, target, batch, gamma=0.9)
+        l_masked, _ = td_loss(net, batch, gamma=0.9)
         assert l_masked == pytest.approx((0.5 + 0.9 * q2[3] - q[0]) ** 2)
 
 
@@ -302,12 +307,11 @@ class TestReplayAndConfig:
 
     def test_sync_target_copies(self):
         net = make(NetworkSpec.free(), seed=1)
-        tgt = make(NetworkSpec.free(), seed=2)
-        sync_target(net, tgt)
-        for a, b in zip(net.weights, tgt.weights):
-            assert np.array_equal(a, b)
+        net.weights[0][...] = make(NetworkSpec.free(), seed=2).weights[0]
+        sync_target(net)
+        assert np.array_equal(net._flat, net._target)
         net.weights[0][0, 0] += 1.0
-        assert not np.array_equal(net.weights[0], tgt.weights[0])
+        assert not np.array_equal(net._flat, net._target)
 
 
 class TestGames:
@@ -467,12 +471,14 @@ def test_training_is_deterministic_in_seed():
 
 def test_every_sgd_update_passes_the_step_sites(monkeypatch):
     """Each update runs qnet.td_loss once (looked up as a module global),
-    which runs one backward and two batch-32 passes: the names the
-    benchmark's step clock stamps and its spans probe.  An update that
-    bypassed them would leave the benchmark timing nothing."""
+    which runs one backward and one batch-32 forward_pair of the online
+    net and its target row: td_loss and backward are names the benchmark's
+    step clock stamps and its spans probe.  An update that bypassed them
+    would leave the benchmark timing nothing."""
     cfg = TrainerConfig(**dict(cli.CONFLICT_TRAIN_DEFAULTS, episodes=100))
     want_net, want_log = qnet.train_conflict_selfplay(cfg, seed=4)
-    calls = {"td_loss": 0, "backward": 0, "passes": [], "push": 0, "sgd_step": 0}
+    calls = {"td_loss": 0, "backward": 0, "passes": [], "pairs": [], "push": 0,
+             "sgd_step": 0}
 
     def counting(name, f):
         def wrapper(*args, **kwargs):
@@ -480,15 +486,20 @@ def test_every_sgd_update_passes_the_step_sites(monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
-    forward_cached = QNetwork.forward_cached
+    forward_cached, forward_pair = QNetwork.forward_cached, QNetwork.forward_pair
 
     def counting_forward(net, states):
         calls["passes"].append(np.atleast_2d(states).shape[0])
         return forward_cached(net, states)
 
+    def counting_pair(net, states, next_states):
+        calls["pairs"].append(len(states))
+        return forward_pair(net, states, next_states)
+
     monkeypatch.setattr(qnet, "td_loss", counting("td_loss", qnet.td_loss))
     monkeypatch.setattr(QNetwork, "backward", counting("backward", QNetwork.backward))
     monkeypatch.setattr(QNetwork, "forward_cached", counting_forward)
+    monkeypatch.setattr(QNetwork, "forward_pair", counting_pair)
     monkeypatch.setattr(QNetwork, "sgd_step", counting("sgd_step", QNetwork.sgd_step))
     monkeypatch.setattr(ReplayBuffer, "push", counting("push", ReplayBuffer.push))
     net, log = qnet.train_conflict_selfplay(cfg, seed=4)
@@ -496,8 +507,8 @@ def test_every_sgd_update_passes_the_step_sites(monkeypatch):
     updates = calls["push"] - (qnet.BATCH_SIZE - 1)
     assert updates > 500
     assert calls["td_loss"] == calls["backward"] == calls["sgd_step"] == updates
-    assert calls["passes"].count(qnet.BATCH_SIZE) == 2 * updates
-    assert set(calls["passes"]) == {1, qnet.BATCH_SIZE}  # the rest are single acts
+    assert calls["pairs"] == [qnet.BATCH_SIZE] * updates
+    assert set(calls["passes"]) == {1}  # every forward_cached is a single act
     assert log == want_log  # the wrappers change nothing
     for w, want in zip(net.weights, want_net.weights):
         assert w.tobytes() == want.tobytes()

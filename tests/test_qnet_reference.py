@@ -1,10 +1,12 @@
 """Byte-identity of the Q-net passes and the replay ring against references.
 
 The references are the straightforward forms: every layer input built by
-`np.concatenate` with a column of ones, and replay kept as a list of
-transition tuples, and an SGD step is `w -= lr * g` on every matrix.  The
-shipped code reuses each net's preallocated per-batch workspace, keeps its
-weights and gradients in flat buffers that one fused step updates, and keeps
+`np.concatenate` with a column of ones, a target net that is a second net
+with its own pass, replay kept as a list of transition tuples, and an SGD
+step that is `w -= lr * g` on every matrix.  The shipped code reuses each
+net's preallocated per-batch workspace, keeps its weights and its target
+copy in one two-row buffer and runs both nets' passes as one stacked pass,
+keeps gradients in a flat buffer that one fused step updates, and keeps
 replay in numpy columns; all must produce the same bytes, so trained
 weights do not move.
 """
@@ -87,6 +89,11 @@ def ref_td_loss(net, target_net, batch, gamma):
     return float(np.mean(err**2)), ref_backward(net, q, hs, np.asarray(a), coeff)
 
 
+def target_weights(net):
+    """The per-matrix views of the net's target row."""
+    return qnet._split(net._target, net.spec.weight_shapes())
+
+
 def assert_same(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -163,16 +170,16 @@ def test_single_state_forward_matches_reference(name, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(SPECS)), seeds, batch_sizes)
 def test_sgd_on_td_loss_matches_reference(name, seed, sizes):
-    """An online net and its copy() as target net, trained for a few SGD
-    steps at interleaved batch sizes, keep the reference's exact weights."""
+    """An online net and its target row, trained for a few SGD steps at
+    interleaved batch sizes, keep the exact weights of the reference's
+    online net and separate target net."""
     spec = SPECS[name]
     rng = np.random.default_rng(seed)
     net = QNetwork.initialize(spec, rng)
-    target = net.copy()
     ref_net, ref_target = net.copy(), net.copy()
     for step, B in enumerate(sizes):
         batch = random_batch(rng, spec, B)
-        loss, grads = td_loss(net, target, batch, gamma=0.9)
+        loss, grads = td_loss(net, batch, gamma=0.9)
         ref_loss, ref_grads = ref_td_loss(ref_net, ref_target, batch, gamma=0.9)
         assert loss == ref_loss
         for g, ref_g in zip(grads, ref_grads):
@@ -181,9 +188,8 @@ def test_sgd_on_td_loss_matches_reference(name, seed, sizes):
             w -= 0.1 * g
             ref_w -= 0.1 * ref_g
         if step % 2:  # sync the targets now and then, as training does
-            for wt, w, ref_wt, ref_w in zip(target.weights, net.weights,
-                                            ref_target.weights, ref_net.weights):
-                np.copyto(wt, w)
+            sync_target(net)
+            for ref_wt, ref_w in zip(ref_target.weights, ref_net.weights):
                 np.copyto(ref_wt, ref_w)
     for w, ref_w in zip(net.weights, ref_net.weights):
         assert_same(w, ref_w)
@@ -204,6 +210,50 @@ def test_copy_shares_no_layer_buffers(name, seed, B):
     assert_layers_match(net, hs, ref_forward_cached(net, s)[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), seeds, st.integers(1, 40))
+def test_forward_pair_matches_two_reference_passes(name, seed, B):
+    """The stacked pass equals the reference pass of the net on s and of a
+    separate target net on s2: q, q' and the online layer inputs."""
+    spec = SPECS[name]
+    rng = np.random.default_rng(seed)
+    target = QNetwork.initialize(spec, rng)
+    net = target.copy()  # its target row holds the target's weights
+    for w in net.weights:
+        w[...] = rng.uniform(-1.0, 1.0, size=w.shape)
+    s, s2 = rng.normal(scale=2.0, size=(2, B, spec.input_dim))
+    q, q2, hs = net.forward_pair(s, s2)
+    ref_q, ref_hs = ref_forward_cached(net, s)
+    assert_same(q, ref_q)
+    assert_same(q2, ref_forward_cached(target, s2)[0])
+    assert_layers_match(net, hs, ref_hs)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_target_row_moves_only_at_sync(name):
+    """backward and sgd_step leave the target row byte for byte as it was;
+    sync_target copies the weights into it, and a copy() of the net shares
+    no memory with it."""
+    spec = SPECS[name]
+    rng = np.random.default_rng(11)
+    net = QNetwork.initialize(spec, rng)
+    kept = [w.copy() for w in target_weights(net)]
+    for B in (8, 1, 8):
+        td_loss(net, random_batch(rng, spec, B), gamma=0.9)
+        net.sgd_step(0.1)
+        for wt, want in zip(target_weights(net), kept):
+            assert_same(wt, want)
+    assert any(not np.array_equal(w, want) for w, want in zip(net.weights, kept))
+    sync_target(net)
+    for wt, w in zip(target_weights(net), net.weights):
+        assert_same(wt, w)
+    twin = net.copy()
+    td_loss(twin, random_batch(rng, spec, 8), gamma=0.9)
+    for a in twin.weights + target_weights(twin) + twin._grads:
+        for b in net.weights + target_weights(net):
+            assert not np.shares_memory(a, b)
+
+
 # -- the flat weight and gradient buffers ------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -216,11 +266,10 @@ def test_trainer_update_matches_reference(name, seed, sizes, rates):
     spec = SPECS[name]
     rng = np.random.default_rng(seed)
     net = QNetwork.initialize(spec, rng)
-    target = net.copy()
     ref_net, ref_target = net.copy(), net.copy()
     for step, (B, lr) in enumerate(zip(sizes, rates)):
         batch = random_batch(rng, spec, B)
-        loss, _grads = td_loss(net, target, batch, gamma=0.9)
+        loss, _grads = td_loss(net, batch, gamma=0.9)
         net.sgd_step(lr)
         ref_loss, ref_grads = ref_td_loss(ref_net, ref_target, batch, gamma=0.9)
         for w, g in zip(ref_net.weights, ref_grads):
@@ -229,10 +278,10 @@ def test_trainer_update_matches_reference(name, seed, sizes, rates):
         for w, ref_w in zip(net.weights, ref_net.weights):
             assert_same(w, ref_w)
         if step % 2:
-            sync_target(net, target)
+            sync_target(net)
             for wt, w in zip(ref_target.weights, ref_net.weights):
                 np.copyto(wt, w)
-            for wt, ref_wt in zip(target.weights, ref_target.weights):
+            for wt, ref_wt in zip(target_weights(net), ref_target.weights):
                 assert_same(wt, ref_wt)
 
 
@@ -243,8 +292,8 @@ def test_copy_shares_no_weight_or_gradient_memory(name):
     net = QNetwork.initialize(spec, rng)
     twin = net.copy()
     batch = random_batch(rng, spec, 8)
-    _loss, grads = td_loss(net, net.copy(), batch, gamma=0.9)
-    _loss, twin_grads = td_loss(twin, twin.copy(), batch, gamma=0.9)
+    _loss, grads = td_loss(net, batch, gamma=0.9)
+    _loss, twin_grads = td_loss(twin, batch, gamma=0.9)
     for a, b in zip(net.weights + grads, twin.weights + twin_grads):
         assert not np.shares_memory(a, b)
     before = [w.copy() for w in net.weights]
@@ -253,6 +302,27 @@ def test_copy_shares_no_weight_or_gradient_memory(name):
         assert_same(w, kept)
     for g, twin_g in zip(grads, twin_grads):
         assert not np.array_equal(g, twin_g)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_a_net_that_only_acts_holds_no_gradients(name):
+    """The gradient buffer and the backward buffers come with the first
+    backward at a batch size, so a loaded policy that only acts never
+    holds them; a later update still matches the reference."""
+    spec = SPECS[name]
+    rng = np.random.default_rng(4)
+    net = QNetwork.initialize(spec, rng)
+    ref_net = net.copy()
+    for B in (1, 8):
+        net.forward_cached(rng.normal(size=(B, spec.input_dim)))
+    assert net._grad_flat is None
+    assert all(work.back is None for work in net._work.values())
+    batch = random_batch(rng, spec, 8)
+    _loss, grads = td_loss(net, batch, gamma=0.9)
+    _ref_loss, ref_grads = ref_td_loss(ref_net, ref_net.copy(), batch, gamma=0.9)
+    for g, ref_g in zip(grads, ref_grads):
+        assert_same(g, ref_g)
+    assert net._work[1].back is None
 
 
 def test_weights_cannot_be_rebound():
