@@ -281,8 +281,9 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
         for rep in range(reps):
             job_list.append((value, rep, splitmix64(master_seed, idx), run_cfg))
             idx += 1
-    # the pool forks all its workers up front, and each one loads both
-    # policies: never start more workers than there are runs
+    # load the policies here first, so a bad file is named before a worker
+    # starts; every worker loads them again, so start no more than the runs
+    _worker_init(conflict_path, free_path)
     workers = min(jobs, len(job_list))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -293,7 +294,6 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
         ) as pool:
             rows = list(pool.map(_worker_run, job_list, chunksize=4))
     else:
-        _worker_init(conflict_path, free_path)
         rows = [_worker_run(j) for j in job_list]
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,6 +376,8 @@ def cmd_train_conflict(args):
 
 
 def cmd_train_free(args):
+    if args.seed < 0:  # the free trainer seeds numpy with it as it is
+        raise ValueError(f"--seed must be >= 0 for train-free, not {args.seed}")
     config = _trainer_config(args, FREE_TRAIN_DEFAULTS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -53,11 +53,11 @@ class ContextGrid:
 
 @lru_cache(maxsize=None, typed=True)
 def _layout(rows: int, cols: int, d: float, arena) -> tuple:
-    """(col_off, row_off, inside), shared by every grid of one configuration.
+    """(col_off, row_off, inside, bound), shared by every grid of one configuration.
 
     The offsets are from the centroid; inside lists (node, row, col, sure)
     for each node not surely off-bound, row-major, and sure=False marks a
-    node within rounding of the bound, tested per grid.
+    node within rounding of the bound, tested per grid against `bound`.
     """
     col_off = tuple((c - cols // 2) * d for c in range(cols))
     row_off = tuple((r - rows // 2) * d for r in range(rows))
@@ -71,7 +71,7 @@ def _layout(rows: int, cols: int, d: float, arena) -> tuple:
                 inside.append(((r, c), r, c, False))
             elif off <= bound:
                 inside.append(((r, c), r, c, True))
-    return col_off, row_off, tuple(inside)
+    return col_off, row_off, tuple(inside), bound
 
 
 def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
@@ -83,14 +83,13 @@ def build_grid(centroid, rows: int, cols: int, d: float, arena) -> ContextGrid:
     if not arena.contains(centroid):
         raise ValueError("centroid outside the arena")
     cx, cy = float(centroid[0]), float(centroid[1])
-    col_off, row_off, inside = _layout(rows, cols, d, arena)
+    col_off, row_off, inside, bound = _layout(rows, cols, d, arena)
     xs = [cx + o for o in col_off]
     ys = [cy + o for o in row_off]
     # the centroid is inside the arena, so these test one axis each
     width, height = arena.width, arena.height
     x_in = [0.0 <= x <= width for x in xs]
     y_in = [0.0 <= y <= height for y in ys]
-    bound = arena.swarm_bound_radius + 1e-9
     free = {
         node: (xs[c], ys[r]) for node, r, c, sure in inside
         if x_in[c] and y_in[r] and (sure or math.hypot(xs[c] - cx, ys[r] - cy) <= bound)
@@ -124,31 +123,21 @@ def node_coords(grid: ContextGrid, node) -> tuple:
     return (ox + x, oy + y)
 
 
-def _apply_offset(grid: ContextGrid, node, dx: float, dy: float) -> bool:
-    """Shift one node by (dx, dy) via its adjacent gaps; True if exact."""
-    r, c = node
-    lim = CLAMP_FRACTION * grid.base_spacing
+def _shift(gaps: list, i: int, n: int, delta: float, lim: float) -> bool:
+    """Move node i of an n-node line by delta via its adjacent gaps; True if exact.
+
+    Node 0 anchors the prefix sums and stays put; any other node's delta is
+    clamped to lim.
+    """
+    if i == 0:
+        return abs(delta) < 1e-9
     exact = True
-    if c == 0:
-        exact = exact and abs(dx) < 1e-9
-        dx = 0.0
-    else:
-        if abs(dx) > lim:
-            dx = math.copysign(lim, dx)
-            exact = False
-        grid.d_x[r][c - 1] += dx
-    if 0 < c < grid.cols - 1:
-        grid.d_x[r][c] -= dx
-    if r == 0:
-        exact = exact and abs(dy) < 1e-9
-        dy = 0.0
-    else:
-        if abs(dy) > lim:
-            dy = math.copysign(lim, dy)
-            exact = False
-        grid.d_y[c][r - 1] += dy
-    if 0 < r < grid.rows - 1:
-        grid.d_y[c][r] -= dy
+    if abs(delta) > lim:
+        delta = math.copysign(lim, delta)
+        exact = False
+    gaps[i - 1] += delta
+    if i < n - 1:
+        gaps[i] -= delta
     return exact
 
 
@@ -163,6 +152,7 @@ def deform(grid: ContextGrid, objects) -> ContextGrid:
     """
     free = grid.free
     dist = math.dist
+    lim = CLAMP_FRACTION * grid.base_spacing
     for kind, obj_id, pos in objects:
         if (kind, obj_id) in grid.node_of:
             raise ValueError(f"object {(kind, obj_id)} already bound")
@@ -173,7 +163,9 @@ def deform(grid: ContextGrid, objects) -> ContextGrid:
         # free is row-major, so the first minimum is the smallest tied node
         node = [*free][dists.index(min(dists))]
         ux, uy = free.pop(node)
-        exact = _apply_offset(grid, node, pos[0] - ux, pos[1] - uy)
+        r, c = node
+        exact = _shift(grid.d_x[r], c, grid.cols, pos[0] - ux, lim)
+        exact = _shift(grid.d_y[c], r, grid.rows, pos[1] - uy, lim) and exact
         grid.bindings[node] = (kind, obj_id)
         grid.node_of[(kind, obj_id)] = node
         if not exact:

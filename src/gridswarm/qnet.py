@@ -43,6 +43,7 @@ from gridswarm.scenario import (
     action_mask_bounds,
     encode_conflict_state,
     encode_free_state,
+    region_toward,
 )
 from gridswarm.world import reject_non_finite
 
@@ -522,6 +523,10 @@ class ReplayBuffer:
         return {name: column.take(idx, 0) for name, column in zip(self.FIELDS, self.columns)}
 
 
+# the self-play rewards of both games
+STEP_PENALTY, GOAL_REWARD, COLLISION_REWARD = -0.1, 1.0, -1.0
+
+
 class ConflictGame:
     """Self-play conflict episodes on a 4x4 playfield.
 
@@ -538,9 +543,6 @@ class ConflictGame:
 
     SIZE = 4
     MAX_STEPS = 12
-    STEP_PENALTY = -0.1
-    GOAL_REWARD = 1.0
-    COLLISION_REWARD = -1.0
 
     def __init__(self, n_agents: int = 2):
         if not 2 <= n_agents <= 4:
@@ -556,7 +558,7 @@ class ConflictGame:
         self.pos = [block[i] for i in spawn_idx]
         self.goal = [block[i] for i in goal_idx]
         self.done = [p == g for p, g in zip(self.pos, self.goal)]
-        self.reward_total = [self.GOAL_REWARD if d else 0.0 for d in self.done]
+        self.reward_total = [GOAL_REWARD if d else 0.0 for d in self.done]
         self.steps = 0
         self.collided = False
 
@@ -577,16 +579,16 @@ class ConflictGame:
             orr, oc = self.pos[j]
         else:
             orr, oc = r, c
-        # the per-axis clamp of scenario.region_toward, except that a peer
-        # level with self on an axis ties to the later start (missions take
-        # the earlier one); ROADMAP item 6 says why the rules stay apart
-        r0 = min(max(r - 1 if orr < r else r, 0), self.SIZE - 2)
-        c0 = min(max(c - 1 if oc < c else c, 0), self.SIZE - 2)
+        # a peer level with self on an axis is probed one node past, so the
+        # block takes the later start there (missions take the earlier one);
+        # ROADMAP item 6 says why the rules stay apart
+        corner = region_toward((r, c), (orr + (orr == r), oc + (oc == c)),
+                               2, self.SIZE, self.SIZE)
         # the encoder looks up only the block's four nodes, so every active
         # peer is bound
         bindings = {self.pos[k]: ("robot", k) for k in others}
         goals = {k: self.goal[k] for k in range(self.n_agents)}
-        return encode_conflict_state((r0, c0), bindings, self.pos[i], self.goal[i], goals)
+        return encode_conflict_state(corner, bindings, self.pos[i], self.goal[i], goals)
 
     def action_mask(self, i: int) -> np.ndarray:
         return action_mask_bounds(self.pos[i], self.SIZE, self.SIZE)
@@ -602,19 +604,17 @@ class ConflictGame:
         hit = set()
         for ai, i in enumerate(active):
             for j in active[ai + 1:]:
-                if new[i] == new[j]:
-                    hit.update((i, j))
-                elif new[i] == old[j] and new[j] == old[i]:
+                if new[i] == new[j] or (new[i] == old[j] and new[j] == old[i]):
                     hit.update((i, j))
         out = {}
         for i, _a in actions.items():
             if i in hit:
-                out[i] = (self.COLLISION_REWARD, True)
+                out[i] = (COLLISION_REWARD, True)
             elif new[i] == self.goal[i]:
-                out[i] = (self.STEP_PENALTY + self.GOAL_REWARD, True)
+                out[i] = (STEP_PENALTY + GOAL_REWARD, True)
                 self.done[i] = True
             else:
-                out[i] = (self.STEP_PENALTY, False)
+                out[i] = (STEP_PENALTY, False)
             self.reward_total[i] += out[i][0]
         self.pos = new
         self.steps += 1
@@ -628,14 +628,12 @@ class FreeGame:
 
     SIZE = 3
     MAX_STEPS = 20
-    STEP_PENALTY = -0.1
-    GOAL_REWARD = 1.0
 
     def reset(self, rng):
         self.pos = (int(rng.integers(self.SIZE)), int(rng.integers(self.SIZE)))
         self.goal = (int(rng.integers(self.SIZE)), int(rng.integers(self.SIZE)))
         self.steps = 0
-        self.reward_total = self.GOAL_REWARD if self.pos == self.goal else 0.0
+        self.reward_total = GOAL_REWARD if self.pos == self.goal else 0.0
 
     @property
     def finished(self) -> bool:
@@ -655,9 +653,9 @@ class FreeGame:
         self.pos = (self.pos[0] + dr, self.pos[1] + dc)
         self.steps += 1
         if self.pos == self.goal:
-            r, terminal = self.STEP_PENALTY + self.GOAL_REWARD, True
+            r, terminal = STEP_PENALTY + GOAL_REWARD, True
         else:
-            r, terminal = self.STEP_PENALTY, False
+            r, terminal = STEP_PENALTY, False
         self.reward_total += r
         return r, terminal
 

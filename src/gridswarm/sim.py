@@ -397,10 +397,10 @@ class Mission:
         self.world.time += dt
 
     def _count_collisions(self):
-        pts = [(r.id, r.position[0], r.position[1]) for r in self.world.robots]
-        for i, (a, xa, ya) in enumerate(pts):
-            for b, xb, yb in pts[i + 1:]:
-                d = math.hypot(xa - xb, ya - yb)
+        pts = [(r.id, r.position) for r in self.world.robots]
+        for i, (a, pa) in enumerate(pts):
+            for b, pb in pts[i + 1:]:
+                d = math.dist(pa, pb)
                 if d <= COLLISION_RADIUS:
                     if (a, b) not in self._colliding_pairs:
                         self._colliding_pairs.add((a, b))

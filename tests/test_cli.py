@@ -362,6 +362,23 @@ def test_swapped_policy_files_rejected_at_load(tmp_path, policy_files):
                   "--policy-free", conflict])
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("nope.qnet", "policy file not found: {bad}"),
+    ("free", "{bad}: a --policy-conflict net takes 12 inputs, this one takes 2"),
+], ids=["missing", "swapped"])
+def test_parallel_sweep_names_a_bad_policy_file(tmp_path, policy_files, bad, message):
+    # a worker that fails to load a policy would break the pool instead
+    bad = policy_files[1] if bad == "free" else str(tmp_path / bad)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text("max_time: 10.0\nsweep: {axis: robots, values: [2, 3], repetitions: 1}\n")
+    out = tmp_path / "out"
+    with pytest.raises((FileNotFoundError, ValueError),
+                       match=re.escape(message.format(bad=bad))):
+        cli.main(["sweep", "--jobs", "2", "--config", str(cfgp), "--out", str(out),
+                  "--policy-conflict", bad, "--policy-free", policy_files[1]])
+    assert not out.exists()
+
+
 def save_free_net(path, hidden_widths, outputs):
     """A 2-input net whose matrices all agree with `hidden_widths` and `outputs`,
     written by a stand-in, since no NetworkSpec may describe it."""
@@ -413,6 +430,13 @@ def test_rejected_training_budget_leaves_no_output_directory(tmp_path, argv):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="reward_block"):
         cli.main([*argv, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_train_free_rejects_a_negative_seed(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape("--seed must be >= 0 for train-free, not -1")):
+        cli.main(["train-free", "--seed", "-1", "--episodes", "100", "--out", str(out)])
     assert not out.exists()
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gridswarm.context_grid import (
     CLAMP_FRACTION,
     ContextGrid,
-    _apply_offset,
     bind_snapshot,
     build_grid,
     deform,
@@ -207,6 +206,35 @@ def assert_free(g, centroid, rows, cols, d, arena):
         for n in all_nodes(rows, cols) if not mask[n]]
 
 
+def reference_offset(grid, node, dx, dy):
+    """Shift one node by (dx, dy) via its adjacent gaps, one block per axis;
+    True if exact."""
+    r, c = node
+    lim = CLAMP_FRACTION * grid.base_spacing
+    exact = True
+    if c == 0:
+        exact = exact and abs(dx) < 1e-9
+        dx = 0.0
+    else:
+        if abs(dx) > lim:
+            dx = math.copysign(lim, dx)
+            exact = False
+        grid.d_x[r][c - 1] += dx
+    if 0 < c < grid.cols - 1:
+        grid.d_x[r][c] -= dx
+    if r == 0:
+        exact = exact and abs(dy) < 1e-9
+        dy = 0.0
+    else:
+        if abs(dy) > lim:
+            dy = math.copysign(lim, dy)
+            exact = False
+        grid.d_y[c][r - 1] += dy
+    if 0 < r < grid.rows - 1:
+        grid.d_y[c][r] -= dy
+    return exact
+
+
 def reference_deform(g, objects, centroid, rows, cols, d):
     """Each object takes the first node of a full sort of the free nodes."""
     def uniform(n):
@@ -223,7 +251,7 @@ def reference_deform(g, objects, centroid, rows, cols, d):
             continue
         node = candidates[0]
         ux, uy = uniform(node)
-        exact = _apply_offset(g, node, pos[0] - ux, pos[1] - uy)
+        exact = reference_offset(g, node, pos[0] - ux, pos[1] - uy)
         del g.free[node]
         g.bindings[node] = (kind, obj_id)
         g.node_of[(kind, obj_id)] = node

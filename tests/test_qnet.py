@@ -376,13 +376,25 @@ class TestGames:
         assert len(encoded) == 2 * (12 + 1)
         expected = 0.0
         for _ in range(12):
-            expected += ConflictGame.STEP_PENALTY
+            expected += qnet.STEP_PENALTY
         assert game.reward_total == [expected, expected]
 
     def test_encode_matches_a_reference_that_binds_only_the_block(self):
-        """Random-action episodes, states after a collision included: the
+        """Random-action episodes, states after a collision included, and
+        every placement of two agents, with the peer active or resolved: the
         encoding reads only the block's nodes, so binding every active peer
         gives the bytes of binding only those inside the block."""
+        game = ConflictGame(2)
+        game.goal = [(0, 3), (3, 0)]
+        nodes = [(r, c) for r in range(game.SIZE) for c in range(game.SIZE)]
+        for own in nodes:
+            for peer in nodes:
+                if peer == own:
+                    continue
+                game.pos = [own, peer]
+                for resolved in (False, True):
+                    game.done = [False, resolved]
+                    assert game.encode(0).tobytes() == reference_encode(game, 0).tobytes()
         rng = np.random.default_rng(11)
         checked = 0
         for n_agents in (2, 3, 4):
