@@ -159,12 +159,13 @@ def _count(value, key: str) -> int:
     return value
 
 
-def _real(value, key: str):
-    """`value` if it is a finite int or float (not a bool), else a ValueError naming `key`."""
+def _real(value, key: str) -> float:
+    """`value` as a float if it is an int or float (not a bool) within the
+    float range, so not NaN or infinite, else a ValueError naming `key`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or (isinstance(value, float) and not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max:
         raise ValueError(f"config {key} must be a number, not {value!r}")
-    return value
+    return float(value)
 
 
 def _reals(cfg: dict, block: str) -> dict:
@@ -186,7 +187,7 @@ def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionCo
         pi=PIState(**_reals(cfg, "pi")),
         grid_rows=_count(grid[0], "grid[0]"),
         grid_cols=_count(grid[1], "grid[1]"),
-        max_time=float(_real(cfg["max_time"], "max_time")),
+        max_time=_real(cfg["max_time"], "max_time"),
         seed=seed,
         spawn_box=tuple(_real(v, f"spawn_box[{i}]") for i, v in enumerate(box)),
         log_trajectory=log_trajectory,
@@ -198,11 +199,11 @@ def distribution_from(cfg: dict) -> DistributionSpec:
     return DistributionSpec(
         kind=t["kind"],
         total_targets=_count(t["total"], "targets.total"),
-        mrt_fraction=float(_real(t["mrt_fraction"], "targets.mrt_fraction")),
+        mrt_fraction=_real(t["mrt_fraction"], "targets.mrt_fraction"),
         mrt_visits=_count(t["mrt_visits"], "targets.mrt_visits"),
         cluster_count=(None if t["cluster_count"] is None
                        else _count(t["cluster_count"], "targets.cluster_count")),
-        cluster_radius=float(_real(t["cluster_radius"], "targets.cluster_radius")),
+        cluster_radius=_real(t["cluster_radius"], "targets.cluster_radius"),
     )
 
 
@@ -226,9 +227,9 @@ def _apply_axis(cfg: dict, axis: str, value):
     if axis == "robots":
         cfg["robots"] = _count(value, "sweep.values")
     elif axis == "mrt_percent":
-        cfg["targets"]["mrt_fraction"] = float(_real(value, "sweep.values")) / 100.0
+        cfg["targets"]["mrt_fraction"] = _real(value, "sweep.values") / 100.0
     elif axis == "sensor_radius":
-        cfg["arena"]["global_sensor_range"] = float(_real(value, "sweep.values"))
+        cfg["arena"]["global_sensor_range"] = _real(value, "sweep.values")
     elif axis == "distribution":
         cfg["targets"]["kind"] = str(value)
     else:

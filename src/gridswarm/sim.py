@@ -8,11 +8,10 @@ grid node.  Motion integrates every dt; neutralizations and collisions are
 committed once per step in ascending robot id order.
 
 Robots exchange no messages, but decisions read live state, not a frozen
-snapshot: a robot allocated to a multi-visit target appends its own id,
-never a peer's, to `Target.visit_sequence` at once, so visit order is
-decision order (not `allocation.mrt_sequence`'s distance order) and robots
-deciding after it in the same step see the commitment.  That sequence is a
-target-side blackboard; `step` drops its uncommitted tail after
+snapshot: a robot allocated to a multi-visit target takes the next open
+slot of its visit sequence at once (`world.commit`), and holds next to a
+target whose next slot is another's (`world.waits_for`).  That sequence is
+a target-side blackboard; `step` drops its uncommitted tail after
 SEQUENCE_TIMEOUT seconds without progress.
 """
 
@@ -214,17 +213,9 @@ class Mission:
         cost = alloc_mod.build_cost_matrix(robot.id, robot.position, allocable, neighbors)
         alloc = alloc_mod.allocate(cost, caps)
 
-        # commit the visit order the local allocation implies; order only
-        # matters for multi-visit targets, and a robot may only commit
-        # ITSELF — naming a peer from a stale local view pins the slot on a
-        # robot whose own allocation may disagree, deadlocking the target
         assigned = alloc.assigned.get(robot.id)
-        if assigned is not None:
-            tgt = targets_by_id[assigned]
-            if tgt.required_visits > 1 and robot.id not in tgt.visit_sequence \
-                    and len(tgt.visit_sequence) < tgt.required_visits:
-                tgt.visit_sequence += (robot.id,)
-                self._seq_stamp[assigned] = self.world.time
+        if assigned is not None and world_mod.commit(robot.id, targets_by_id[assigned]):
+            self._seq_stamp[assigned] = self.world.time
 
         if ctl.engaged is not None:
             eng = targets_by_id.get(ctl.engaged)
@@ -294,12 +285,7 @@ class Mission:
         """Grid node the robot is ultimately trying to occupy; `own` is its node."""
         if assigned is not None and ("target", assigned) in grid.node_of:
             tnode = grid.node_of[("target", assigned)]
-            tgt = self.targets_by_id[assigned]
-            seq = tgt.visit_sequence
-            if tgt.required_visits > 1 and seq and \
-                    tgt.sequence_progress < len(seq) and \
-                    seq[tgt.sequence_progress] != robot.id:
-                # not our turn yet: hold on a free node next to the target
+            if world_mod.waits_for(robot.id, self.targets_by_id[assigned]):
                 return self._adjacent_hold(grid, tnode, own)
             return tnode
         # no allocated target: detected-but-out-of-bound targets act as cues

@@ -2,9 +2,9 @@
 
 All state here is plain data.  Visits mutate it only through
 `try_neutralize`, which the mission engine calls in a single-writer commit
-phase.  The exception is `Target.visit_sequence`, a target-side blackboard:
-the engine appends a robot's own id to it mid-decision and truncates its
-uncommitted tail on a timeout (see `gridswarm.sim`).
+phase.  The exception is `Target.visit_sequence`, the target-side
+blackboard that `commit` writes mid-decision and the mission engine
+truncates on a timeout (see `gridswarm.sim`).
 """
 
 from __future__ import annotations
@@ -122,27 +122,39 @@ def sense(robot: Robot, world: WorldState, arena: ArenaConfig) -> tuple:
     return targets, neighbors
 
 
+def waits_for(robot_id: int, target: Target) -> bool:
+    """True if the next visit of `target` is committed to another robot."""
+    k, seq = target.sequence_progress, target.visit_sequence
+    return k < len(seq) and seq[k] != robot_id
+
+
+def commit(robot_id: int, target: Target) -> bool:
+    """Take the next open slot of a multi-visit target; True if one was written.
+
+    A robot commits only ITSELF: a peer named from one robot's local view
+    may never learn of its slot, or its own allocation may disagree, and
+    either deadlocks the target.  So visit order is decision order, and
+    robots deciding later in the same step see the commitment.  Nothing is
+    written for a single-visit target, a robot already in the sequence, or
+    a full sequence.
+    """
+    seq = target.visit_sequence
+    if target.required_visits == 1 or robot_id in seq or len(seq) >= target.required_visits:
+        return False
+    target.visit_sequence = seq + (robot_id,)
+    return True
+
+
 def try_neutralize(robot_id: int, target: Target) -> bool:
     """Attempt one neutralization visit; returns True if progress advanced.
 
-    A single-visit target accepts whichever robot reaches it first.  For a
-    multi-visit target the ordered visit sequence binds committed slots: if
-    an entry exists for the next slot, only that robot's visit counts.  With
-    no commitment for the next slot, any robot that has not hit this target
-    before may take it (the slot is committed to it on the spot) — allocated
-    sequences name robots from one robot's local view, and a named robot
-    that never learns of the commitment must not block the visit forever.
+    A visit counts unless the target is dead, this robot visited it before,
+    or it `waits_for` another robot's slot; an open slot is `commit`ted to
+    it on the spot.
     """
-    if not target.live:
+    if not target.live or robot_id in target.visited_by or waits_for(robot_id, target):
         return False
-    if robot_id in target.visited_by:
-        return False
-    if target.required_visits > 1:
-        if target.sequence_progress < len(target.visit_sequence):
-            if target.visit_sequence[target.sequence_progress] != robot_id:
-                return False
-        else:
-            target.visit_sequence += (robot_id,)
+    commit(robot_id, target)
     target.sequence_progress += 1
     target.visited_by.add(robot_id)
     if target.sequence_progress >= target.required_visits:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -143,13 +144,16 @@ def test_counts_must_be_integers(tmp_path, override, message):
         cli.distribution_from(cfg)
 
 
+HUGE = 10 ** 400  # a YAML integer beyond the float range
+
 REAL_KEYS = [("max_time",), ("targets", "mrt_fraction"), ("targets", "cluster_radius")]
 REAL_KEYS += [(block, key) for block in ("arena", "kinematics", "pi")
               for key in cli.DEFAULT_CONFIG[block]]
 
 
 @pytest.mark.parametrize("path", REAL_KEYS, ids=".".join)
-@pytest.mark.parametrize("bad", ["25", True, None, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", ["25", True, None, math.nan, math.inf, -math.inf,
+                                 pytest.param(HUGE, id="10**400")])
 def test_reals_must_be_numbers(tmp_path, path, bad):
     override = bad
     for key in reversed(path):
@@ -176,7 +180,8 @@ def test_negative_pi_gains_rejected_at_config_time():
     ([0, 0, True, 20], "config spawn_box[2] must be a number, not True"),
     ([0, math.nan, 20, 20], "config spawn_box[1] must be a number, not nan"),
     ([0, 0, 20, math.inf], "config spawn_box[3] must be a number, not inf"),
-], ids=["scalar", "three", "bool", "nan", "inf"])
+    ([0, HUGE, 20, 20], f"config spawn_box[1] must be a number, not {HUGE!r}"),
+], ids=["scalar", "three", "bool", "nan", "inf", "huge"])
 def test_spawn_box_must_be_four_numbers(tmp_path, box, message):
     p = tmp_path / "c.yaml"
     p.write_text(yaml.safe_dump({"spawn_box": box}))
@@ -191,8 +196,32 @@ def test_mission_config_rejects_bools_in_spawn_box():
 
 @pytest.mark.parametrize("axis", ["mrt_percent", "sensor_radius"])
 def test_real_sweep_values_must_be_numbers(axis):
-    with pytest.raises(ValueError, match="config sweep.values must be a number, not '40'"):
-        cli._apply_axis(cli.load_config(None), axis, "40")
+    for bad in ("40", HUGE):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"config sweep.values must be a number, not {bad!r}")):
+            cli._apply_axis(cli.load_config(None), axis, bad)
+
+
+INT_REALS = {
+    "arena": {"width": 40, "height": 40, "swarm_bound_radius": 20,
+              "global_sensor_range": 20, "local_sensor_range": 10, "neutralize_radius": 1},
+    "kinematics": {"v_max": 15, "heading_gain": 1, "omega_max": 2, "dt": 1},
+    "pi": {"kp": 1, "ki": 0},
+    "max_time": 30, "spawn_box": [0, 0, 20, 20],
+    "targets": {"mrt_fraction": 0, "cluster_radius": 10},
+}
+
+
+def test_reals_written_as_integers_are_read_as_floats(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(INT_REALS))
+    cfg = cli.load_config(p)
+    mission = cli.mission_config_from(cfg, seed=0)
+    dist = cli.distribution_from(cfg)
+    reals = [mission.max_time, *mission.spawn_box, dist.mrt_fraction, dist.cluster_radius]
+    for block in (mission.arena, mission.kinematics, mission.pi):
+        reals += [getattr(block, f.name) for f in dataclasses.fields(block)]
+    assert all(type(v) is float for v in reals), reals
 
 
 def test_apply_axis():
@@ -245,6 +274,24 @@ def test_run_verb(tmp_path, policy_files):
         rows = list(csv.reader(f))
     assert rows[0][0] == "t"
     assert len(rows) > 10
+
+
+def test_int_and_float_spellings_of_a_config_run_alike(tmp_path, policy_files):
+    # a robot clipped to an int wall would print `40` where the float
+    # spelling prints `40.0` in trajectory.csv
+    outs = []
+    for spelling in (int, float):
+        cfgp = tmp_path / f"{spelling.__name__}.yaml"
+        cfgp.write_text(yaml.safe_dump({
+            "arena": {"width": spelling(40), "height": spelling(40),
+                      "swarm_bound_radius": spelling(20)},
+            "max_time": spelling(30), "spawn_box": [spelling(v) for v in (0, 0, 20, 20)],
+        }))
+        outs.append(tmp_path / spelling.__name__)
+        cli.main(["run", "--config", str(cfgp), "--seed", "1", "--out", str(outs[-1]),
+                  "--policy-conflict", policy_files[0], "--policy-free", policy_files[1]])
+    for name in ("summary.json", "trajectory.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_sweep_outputs_and_reproducibility(tmp_path, policy_files):

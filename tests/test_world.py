@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import math
 import operator
 
@@ -10,9 +12,11 @@ from gridswarm.world import (
     Robot,
     Target,
     WorldState,
+    commit,
     hale_centroid,
     sense,
     try_neutralize,
+    waits_for,
 )
 
 
@@ -124,3 +128,68 @@ def test_neutralize_committed_slot_binds_robot():
     assert try_neutralize(3, t)
     assert try_neutralize(4, t)
     assert not t.live
+
+
+ROBOT_IDS = range(4)
+
+
+def consistent_targets():
+    """Every consistent blackboard state with 1-3 required visits and robots 0-3."""
+    yield Target(0, (1, 1), 1)
+    for rid in ROBOT_IDS:
+        yield Target(0, (1, 1), 1, sequence_progress=1, live=False, visited_by={rid})
+    for required in (2, 3):
+        for n in range(required + 1):
+            for seq in itertools.permutations(ROBOT_IDS, n):
+                for progress in range(n + 1):
+                    yield Target(0, (1, 1), required, sequence_progress=progress,
+                                 live=progress < required, visit_sequence=seq,
+                                 visited_by=set(seq[:progress]))
+
+
+def inline_neutralize(robot_id, t):
+    """Reference visit rule, written out without `commit` and `waits_for`."""
+    if not t.live or robot_id in t.visited_by:
+        return False
+    if t.required_visits > 1:
+        if t.sequence_progress < len(t.visit_sequence):
+            if t.visit_sequence[t.sequence_progress] != robot_id:
+                return False
+        else:
+            t.visit_sequence += (robot_id,)
+    t.sequence_progress += 1
+    t.visited_by.add(robot_id)
+    if t.sequence_progress >= t.required_visits:
+        t.live = False
+    return True
+
+
+def inline_commit(robot_id, t):
+    """Reference slot commitment of a mission decision, written out."""
+    if t.required_visits > 1 and robot_id not in t.visit_sequence \
+            and len(t.visit_sequence) < t.required_visits:
+        t.visit_sequence += (robot_id,)
+        return True
+    return False
+
+
+def inline_waits(robot_id, t):
+    """Reference turn test of a mission goal, written out."""
+    seq = t.visit_sequence
+    return t.required_visits > 1 and bool(seq) and t.sequence_progress < len(seq) \
+        and seq[t.sequence_progress] != robot_id
+
+
+def copy_target(t):
+    return dataclasses.replace(t, visited_by=set(t.visited_by))
+
+
+def test_sequence_rules_match_the_inline_rules_on_every_state():
+    states = list(consistent_targets())
+    assert len(states) == 191
+    for t, rid in itertools.product(states, ROBOT_IDS):
+        for rule, inline in ((try_neutralize, inline_neutralize), (commit, inline_commit),
+                             (waits_for, inline_waits)):
+            got, want = copy_target(t), copy_target(t)
+            assert rule(rid, got) == inline(rid, want), (rule.__name__, t, rid)
+            assert got == want, (rule.__name__, t, rid)
