@@ -148,7 +148,11 @@ def load_config(path) -> dict:
     import yaml
 
     with open(path) as f:
-        override = yaml.safe_load(f)
+        try:
+            override = yaml.safe_load(f)
+        except yaml.YAMLError as exc:  # its message spans lines: join them
+            raise ValueError(f"config {path} is not valid YAML: "
+                             f"{' '.join(str(exc).split())}") from None
     return cfg if override is None else _merge(cfg, override)
 
 
@@ -464,5 +468,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def script(argv=None) -> int:
+    """`main` as the `gridswarm` command: a rejected config, policy or option,
+    or a file that cannot be read or written, prints one `gridswarm: error:`
+    line and exits 2, as argparse errors do."""
+    try:
+        return main(argv)
+    except (ValueError, OSError) as exc:
+        print(f"gridswarm: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

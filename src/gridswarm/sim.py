@@ -4,8 +4,9 @@ Each robot re-decides its waypoint whenever it reaches the previous one
 (or a leg timeout fires): it senses, solves the shared allocation problem
 over its own view, rebuilds and deforms its context grid, runs the
 scenario identifier and asks the matching Q-network (greedy) for the next
-grid node.  Motion integrates every dt; neutralizations and collisions are
-committed once per step in ascending robot id order.
+grid node.  A step runs all decisions, then each robot in ascending id
+moves one dt and commits its neutralizations, then counts collisions;
+`Mission.step` says why this equals moving every robot first.
 
 Robots exchange no messages, but decisions read live state, not a frozen
 snapshot: a robot allocated to a multi-visit target takes the next open
@@ -17,6 +18,7 @@ SEQUENCE_TIMEOUT seconds without progress.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -160,6 +162,9 @@ class Mission:
         self._sweep_since = 0.0  # time of last approach improvement
         self._last_visit = 0.0  # time of last successful neutralization
         self._seq_stamp: dict = {}  # target id -> time of last sequence activity
+        # targets only die, so the live list is rebuilt only when one does
+        self.live_targets = [t for t in own if t.live]
+        self._multi_visit = [t for t in own if t.required_visits > 1]
 
     # -- decision phase -----------------------------------------------------
 
@@ -313,92 +318,102 @@ class Mission:
     # -- motion / commit phase ----------------------------------------------
 
     def step(self):
-        """One dt of mission time: decisions, motion, neutralization."""
-        cfg = self.config
+        """One dt of mission time.
+
+        All decisions come first, against positions no robot has moved yet.
+        Then one pass takes each robot in ascending id: it moves, then
+        neutralizes every live target within reach.  Collisions are counted
+        last.  The pass equals moving every robot before any visit: motion
+        reads no target state, and a visit writes only target state and the
+        visiting robot's own `ctl.waypoint`, which its move has already read.
+        """
+        world, cfg, arena = self.world, self.config, self.arena
+        robots, ctls, dist = world.robots, self.ctl, math.dist
         dt = cfg.kinematics.dt
-        for tgt in self.world.targets:
-            if (tgt.live and tgt.required_visits > 1
-                    and len(tgt.visit_sequence) > tgt.sequence_progress
-                    and self.world.time - self._seq_stamp.get(tgt.id, 0.0)
-                    > SEQUENCE_TIMEOUT):
+        now = world.time
+        seq_stamp = self._seq_stamp
+        for tgt in self._multi_visit:
+            if (tgt.live and len(tgt.visit_sequence) > tgt.sequence_progress
+                    and now - seq_stamp.get(tgt.id, 0.0) > SEQUENCE_TIMEOUT):
                 tgt.visit_sequence = tgt.visit_sequence[:tgt.sequence_progress]
-                self._seq_stamp.pop(tgt.id, None)
+                seq_stamp.pop(tgt.id, None)
         # the HALE broadcasts one centroid per step; no robot moves while
         # robots decide, so it also holds for the motion below
-        centroid = world_mod.hale_centroid(self.world.robots)
-        for robot in self.world.robots:
-            ctl = self.ctl[robot.id]
-            if ctl.waypoint is None or self.world.time >= ctl.deadline or \
-                    math.dist(robot.position, ctl.waypoint) <= self.arrival:
+        centroid = world_mod.hale_centroid(robots)
+        arrival = self.arrival
+        for robot in robots:
+            ctl = ctls[robot.id]
+            if ctl.waypoint is None or now >= ctl.deadline or \
+                    dist(robot.position, ctl.waypoint) <= arrival:
                 self._decide(robot, centroid)
 
         anchor = self.sweep_anchors[self.sweep_idx]
         # advance on arrival, or when nothing is progressing at all (no
         # centroid approach and no visits): robots engaged beyond the bound
         # can pin the centroid, and only circuit progress frees them
-        d = math.dist(centroid, anchor)
+        d = dist(centroid, anchor)
         if d < self._sweep_best - 0.5:
             self._sweep_best = d
-            self._sweep_since = self.world.time
-        if d <= self._sweep_reach or self.world.time - max(
+            self._sweep_since = now
+        if d <= self._sweep_reach or now - max(
                 self._sweep_since, self._last_visit) > ANCHOR_STALL:
             self.sweep_idx = (self.sweep_idx + 1) % len(self.sweep_anchors)
             self._sweep_best = math.inf
-            self._sweep_since = self.world.time
-        kp, ki = cfg.pi.kp, cfg.pi.ki
-        bound, arrival = self.arena.swarm_bound_radius, self.arrival
-        for robot in self.world.robots:
-            ctl = self.ctl[robot.id]
-            waypoint = ctl.waypoint
-            if math.dist(robot.position, centroid) > bound:
-                waypoint = centroid  # cohesion override: head back in
-            dist = math.dist(robot.position, waypoint)
-            if dist > arrival:
-                ctl.integral = motion.advance(robot, waypoint, dist, ctl.integral,
-                                              kp, ki, cfg.kinematics, self.arena)
+            self._sweep_since = now
 
-        # a target can die within this loop, so `tgt.live` is tested again
-        live = [t for t in self.world.targets if t.live]
-        for robot in self.world.robots:
-            ctl = self.ctl[robot.id]
+        kp, ki, kin = cfg.pi.kp, cfg.pi.ki, cfg.kinematics
+        bound, reach = arena.swarm_bound_radius, arena.neutralize_radius
+        live, died = self.live_targets, False
+        for robot in robots:
+            ctl = ctls[robot.id]
+            position = robot.position
+            waypoint = ctl.waypoint
+            if dist(position, centroid) > bound:
+                waypoint = centroid  # cohesion override: head back in
+            gap = dist(position, waypoint)
+            if gap > arrival:
+                ctl.integral = motion.advance(robot, waypoint, gap, ctl.integral,
+                                              kp, ki, kin, arena)
+                position = robot.position
+            # a target can die within this pass, so `tgt.live` is tested again
             for tgt in live:
-                if tgt.live and math.dist(robot.position, tgt.position) \
-                        <= self.arena.neutralize_radius:
-                    if world_mod.try_neutralize(robot.id, tgt):
-                        self._seq_stamp[tgt.id] = self.world.time + dt
-                        self._last_visit = self.world.time
-                        if not tgt.live:
-                            self.target_times[tgt.id] = self.world.time + dt
-                        ctl.waypoint = None  # force a fresh decision
+                if dist(position, tgt.position) <= reach and tgt.live \
+                        and world_mod.try_neutralize(robot.id, tgt):
+                    seq_stamp[tgt.id] = now + dt
+                    self._last_visit = now
+                    if not tgt.live:
+                        self.target_times[tgt.id] = now + dt
+                        died = True
+                    ctl.waypoint = None  # force a fresh decision
+        if died:
+            self.live_targets = [t for t in live if t.live]
 
         self._count_collisions()
         if self.trajectory is not None:
-            for robot in self.world.robots:
-                ctl = self.ctl[robot.id]
+            for robot in robots:
+                ctl = ctls[robot.id]
                 self.trajectory.append((
-                    round(self.world.time, 6), robot.id, robot.position[0],
+                    round(now, 6), robot.id, robot.position[0],
                     robot.position[1], robot.heading, ctl.label,
                     scenario.ACTIONS[ctl.action], ctl.assigned,
                 ))
-        self.world.time += dt
+        world.time = now + dt
 
     def _count_collisions(self):
-        pts = [(r.id, r.position) for r in self.world.robots]
-        for i, (a, pa) in enumerate(pts):
-            for b, pb in pts[i + 1:]:
-                d = math.dist(pa, pb)
-                if d <= COLLISION_RADIUS:
-                    if (a, b) not in self._colliding_pairs:
-                        self._colliding_pairs.add((a, b))
-                        self.collisions += 1
-                elif d > 2.0 * COLLISION_RADIUS and self._colliding_pairs:
-                    self._colliding_pairs.discard((a, b))
+        pairs, dist = self._colliding_pairs, math.dist
+        for ra, rb in itertools.combinations(self.world.robots, 2):
+            d = dist(ra.position, rb.position)
+            if d <= COLLISION_RADIUS:
+                if (ra.id, rb.id) not in pairs:
+                    pairs.add((ra.id, rb.id))
+                    self.collisions += 1
+            elif d > 2.0 * COLLISION_RADIUS and pairs:
+                pairs.discard((ra.id, rb.id))
 
     def run(self) -> MissionResult:
-        while self.world.time < self.config.max_time and \
-                any(t.live for t in self.world.targets):
+        while self.world.time < self.config.max_time and self.live_targets:
             self.step()
-        success = not any(t.live for t in self.world.targets)
+        success = not self.live_targets
         total = self.world.time if success else self.config.max_time
         search = max(self.first_detect.values()) if (
             success and self.first_detect) else 0.0

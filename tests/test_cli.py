@@ -2,7 +2,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -407,6 +411,38 @@ def test_swapped_policy_files_rejected_at_load(tmp_path, policy_files):
                                                    "takes 12 inputs, this one takes 2")):
         cli.main(["run", "--out", str(tmp_path), "--policy-conflict", free,
                   "--policy-free", conflict])
+
+
+@pytest.mark.parametrize("case", ["config", "yaml", "directory", "policy"])
+def test_command_line_reports_a_rejected_input_in_one_line(tmp_path, policy_files, case):
+    conflict, free = policy_files
+    bad = tmp_path / "bad.yaml"
+    bad.write_text({"config": "max_time: 1" + "0" * 400 + "\n",
+                    "yaml": "max_time: [1\n"}.get(case, ""))
+    argv = ["--config", str(bad)]
+    if case == "config":
+        message = "config max_time must be a number, not 1000"
+    elif case == "yaml":
+        message = f"config {bad} is not valid YAML: while parsing"
+    elif case == "directory":
+        argv, message = ["--config", str(tmp_path)], "[Errno 21] Is a directory"
+    else:
+        conflict, free = free, conflict
+        argv, message = [], f"{conflict}: a --policy-conflict net takes 12 inputs"
+    out = tmp_path / "out"
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridswarm.cli", "run", *argv, "--out", str(out),
+         "--policy-conflict", conflict, "--policy-free", free],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"gridswarm: error: {message}")
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad, message", [

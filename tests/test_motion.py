@@ -180,6 +180,18 @@ def _bits(position, heading, integral):
 # a setpoint past -pi: only its wrap fixes the last bits of the turn rate
 @example(((15.436538565994676, 78.10029579914941), -math.pi,
           (-74.99280027124243, 93.1371291067319), 0.0, PIState()))
+# wrap boundaries, where `advance`'s inlined wraps take their `a <= 0.0`
+# branch: a bearing error of exactly +pi and of exactly -pi (heading pi)
+@example(((50.0, 50.0), 0.0, (40.0, 50.0), 0.0, PIState()))
+@example(((50.0, 50.0), math.pi, (60.0, 50.0), 0.0, PIState()))
+# -0.0: atan2(-0.0, -10.0) is exactly -pi, so the bearing itself wraps;
+# from a heading of -0.1 the error's last bit shows which way it wrapped
+@example(((50.0, 0.0), -0.0, (40.0, -0.0), 0.0, PIState()))
+@example(((50.0, 0.0), -0.1, (40.0, -0.0), 0.0, PIState()))
+# a heading many turns out either way: the error, setpoint, turn-rate and
+# heading wraps all start below -pi on one side or the other
+@example(((50.0, 50.0), 1000.0, (60.0, 57.0), 0.0, PIState()))
+@example(((50.0, 50.0), -1000.0, (60.0, 57.0), 0.0, PIState()))
 def test_advance_matches_the_five_step_functions_bit_for_bit(inputs):
     position, heading, waypoint, integral, pi = inputs
     dist = math.dist(position, waypoint)

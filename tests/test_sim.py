@@ -1,15 +1,19 @@
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridswarm import cli, motion, scenario, sim, world as world_mod
 from gridswarm.cli import DistributionSpec
 from gridswarm.motion import KinematicParams, PIState
-from gridswarm.qnet import NetworkSpec, QNetwork, TrainerConfig
+from gridswarm.qnet import NetworkSpec, QNetwork, TrainerConfig, load_weights
 from gridswarm.sim import Mission, MissionConfig, run_mission
 from gridswarm.world import ArenaConfig, Target
+
+POLICIES = Path(__file__).resolve().parents[1] / "perfbench" / "policies"
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +200,126 @@ def test_mission_invariants_hold_after_every_step(nets, case):
             if t.required_visits > 1:
                 assert set(t.visit_sequence[:t.sequence_progress]) == t.visited_by
             assert t.live == (t.sequence_progress < t.required_visits)
+        assert m.live_targets == [t for t in m.world.targets if t.live]
+
+
+def reference_step(m):
+    """`Mission.step` as three passes: move every robot, then test every
+    robot's visits against a fresh live list, then count collisions."""
+    cfg = m.config
+    dt = cfg.kinematics.dt
+    for tgt in m.world.targets:
+        if (tgt.live and tgt.required_visits > 1
+                and len(tgt.visit_sequence) > tgt.sequence_progress
+                and m.world.time - m._seq_stamp.get(tgt.id, 0.0)
+                > sim.SEQUENCE_TIMEOUT):
+            tgt.visit_sequence = tgt.visit_sequence[:tgt.sequence_progress]
+            m._seq_stamp.pop(tgt.id, None)
+    centroid = world_mod.hale_centroid(m.world.robots)
+    for robot in m.world.robots:
+        ctl = m.ctl[robot.id]
+        if ctl.waypoint is None or m.world.time >= ctl.deadline or \
+                math.dist(robot.position, ctl.waypoint) <= m.arrival:
+            m._decide(robot, centroid)
+
+    anchor = m.sweep_anchors[m.sweep_idx]
+    d = math.dist(centroid, anchor)
+    if d < m._sweep_best - 0.5:
+        m._sweep_best = d
+        m._sweep_since = m.world.time
+    if d <= m._sweep_reach or m.world.time - max(
+            m._sweep_since, m._last_visit) > sim.ANCHOR_STALL:
+        m.sweep_idx = (m.sweep_idx + 1) % len(m.sweep_anchors)
+        m._sweep_best = math.inf
+        m._sweep_since = m.world.time
+    kp, ki = cfg.pi.kp, cfg.pi.ki
+    bound, arrival = m.arena.swarm_bound_radius, m.arrival
+    for robot in m.world.robots:
+        ctl = m.ctl[robot.id]
+        waypoint = ctl.waypoint
+        if math.dist(robot.position, centroid) > bound:
+            waypoint = centroid
+        dist = math.dist(robot.position, waypoint)
+        if dist > arrival:
+            ctl.integral = motion.advance(robot, waypoint, dist, ctl.integral,
+                                          kp, ki, cfg.kinematics, m.arena)
+
+    live = [t for t in m.world.targets if t.live]
+    for robot in m.world.robots:
+        ctl = m.ctl[robot.id]
+        for tgt in live:
+            if tgt.live and math.dist(robot.position, tgt.position) \
+                    <= m.arena.neutralize_radius:
+                if world_mod.try_neutralize(robot.id, tgt):
+                    m._seq_stamp[tgt.id] = m.world.time + dt
+                    m._last_visit = m.world.time
+                    if not tgt.live:
+                        m.target_times[tgt.id] = m.world.time + dt
+                    ctl.waypoint = None
+
+    pts = [(r.id, r.position) for r in m.world.robots]
+    for i, (a, pa) in enumerate(pts):
+        for b, pb in pts[i + 1:]:
+            d = math.dist(pa, pb)
+            if d <= sim.COLLISION_RADIUS:
+                if (a, b) not in m._colliding_pairs:
+                    m._colliding_pairs.add((a, b))
+                    m.collisions += 1
+            elif d > 2.0 * sim.COLLISION_RADIUS and m._colliding_pairs:
+                m._colliding_pairs.discard((a, b))
+    if m.trajectory is not None:
+        for robot in m.world.robots:
+            ctl = m.ctl[robot.id]
+            m.trajectory.append((
+                round(m.world.time, 6), robot.id, robot.position[0],
+                robot.position[1], robot.heading, ctl.label,
+                scenario.ACTIONS[ctl.action], ctl.assigned,
+            ))
+    m.world.time += dt
+
+
+def _state(m):
+    """Everything a step writes, as a string: float reprs round-trip, so
+    equal strings mean equal bits."""
+    return repr((
+        [(r.id, r.position, r.heading, m.ctl[r.id].integral) for r in m.world.robots],
+        [(t.id, t.position, t.required_visits, t.sequence_progress, t.live,
+          t.visit_sequence, sorted(t.visited_by)) for t in m.world.targets],
+        sorted(m.target_times.items()), m.collisions, m.world.time,
+    ))
+
+
+def assert_steps_like_the_reference(make):
+    """Step `make()` and its twin by `reference_step` in lockstep, comparing
+    after every step; return the mission and its sequence timeouts."""
+    m, twin = make(), make()
+    steps = timeouts = 0
+    while m.world.time < m.config.max_time and any(t.live for t in m.world.targets):
+        held = [len(t.visit_sequence) for t in m.world.targets]
+        m.step()
+        reference_step(twin)
+        steps += 1
+        assert _state(m) == _state(twin), f"step {steps}"
+        assert m.trajectory == twin.trajectory
+        timeouts += any(len(t.visit_sequence) < n for t, n in zip(m.world.targets, held))
+    assert not (twin.world.time < twin.config.max_time
+                and any(t.live for t in twin.world.targets))
+    return m, timeouts
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_missions())
+def test_step_matches_the_three_pass_reference(nets, case):
+    cfg, targets = case
+    assert_steps_like_the_reference(lambda: Mission(cfg, targets, *nets))
+
+
+# seeds whose missions, under the shipped policies, also drop a visit
+# sequence's tail on timeout
+@pytest.mark.parametrize("seed", [3, 4])
+def test_default_missions_step_like_the_three_pass_reference(seed):
+    policies = (load_weights(POLICIES / "conflict.qnet"), load_weights(POLICIES / "free.qnet"))
+    cfg = cli.load_config(None)
+    m, timeouts = assert_steps_like_the_reference(
+        lambda: cli.build_mission(cfg, seed, *policies, log_trajectory=True))
+    assert not m.live_targets and m.collisions and timeouts
