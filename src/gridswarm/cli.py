@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ def splitmix64(seed: int, index: int) -> int:
 @dataclass
 class DistributionSpec:
     kind: str = "uniform"  # uniform | clustered
-    total_targets: int = 15
+    total: int = 15
     mrt_fraction: float = 0.2
     mrt_visits: int = 2
     cluster_count: int | None = None  # None: random in [1, 5] per mission
@@ -52,8 +52,8 @@ class DistributionSpec:
         reject_non_finite(self)
         if self.kind not in ("uniform", "clustered"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.total_targets < 0:
-            raise ValueError("total_targets must be >= 0")
+        if self.total < 0:
+            raise ValueError("total must be >= 0")
         if not (0.0 <= self.mrt_fraction <= 1.0):
             raise ValueError("mrt_fraction must lie in [0, 1]")
         if self.mrt_visits < 1:
@@ -74,13 +74,13 @@ def generate_scenario(spec: DistributionSpec, arena: ArenaConfig, rng) -> list:
     """
     positions = []
     if spec.kind == "uniform":
-        for _ in range(spec.total_targets):
+        for _ in range(spec.total):
             positions.append((rng.uniform(0, arena.width), rng.uniform(0, arena.height)))
     else:
         m = spec.cluster_count or int(rng.integers(1, 6))
-        per = spec.total_targets // m
+        per = spec.total // m
         sizes = [per] * m
-        sizes[-1] += spec.total_targets - per * m
+        sizes[-1] += spec.total - per * m
         for size in sizes:
             cx = rng.uniform(0, arena.width)
             cy = rng.uniform(0, arena.height)
@@ -91,7 +91,7 @@ def generate_scenario(spec: DistributionSpec, arena: ArenaConfig, rng) -> list:
                     min(max(cx + rad * math.cos(ang), 0.0), arena.width),
                     min(max(cy + rad * math.sin(ang), 0.0), arena.height),
                 ))
-    n_mrt = math.ceil(spec.mrt_fraction * spec.total_targets)
+    n_mrt = math.ceil(spec.mrt_fraction * spec.total)
     targets = []
     for i, pos in enumerate(positions):
         visits = spec.mrt_visits if i < n_mrt else 1
@@ -101,7 +101,7 @@ def generate_scenario(spec: DistributionSpec, arena: ArenaConfig, rng) -> list:
 
 def _default_config() -> dict:
     """The YAML tree of the library defaults, plus the sweep block."""
-    m, d = MissionConfig(), DistributionSpec()
+    m = MissionConfig()
     return {
         "arena": asdict(m.arena),
         "robots": m.n_robots,
@@ -110,14 +110,7 @@ def _default_config() -> dict:
         "grid": [m.grid_rows, m.grid_cols],
         "kinematics": asdict(m.kinematics),
         "pi": asdict(m.pi),
-        "targets": {
-            "kind": d.kind,
-            "total": d.total_targets,
-            "mrt_fraction": d.mrt_fraction,
-            "mrt_visits": d.mrt_visits,
-            "cluster_count": d.cluster_count,
-            "cluster_radius": d.cluster_radius,
-        },
+        "targets": asdict(DistributionSpec()),
         "sweep": {"axis": "robots", "values": [3, 6, 9], "repetitions": 30},
     }
 
@@ -172,9 +165,19 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
-def _reals(cfg: dict, block: str) -> dict:
-    """The `block` mapping of `cfg`, each of its values read by `_real`."""
-    return {k: _real(v, f"{block}.{k}") for k, v in cfg[block].items()}
+def _block(cls, cfg: dict, block: str):
+    """The `block` mapping of `cfg` as a `cls`, each field's value read by its
+    annotation: a float by `_real`, an int (or an `int | None` that is set)
+    by `_count`, anything else as it is."""
+    kw = {}
+    for f in fields(cls):
+        value, key = cfg[block][f.name], f"{block}.{f.name}"
+        if f.type == "float":
+            value = _real(value, key)
+        elif f.type == "int" or (f.type == "int | None" and value is not None):
+            value = _count(value, key)
+        kw[f.name] = value
+    return cls(**kw)
 
 
 def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionConfig:
@@ -185,10 +188,10 @@ def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionCo
     if not isinstance(box, list) or len(box) != 4:
         raise ValueError(f"config spawn_box must be a list [x0, y0, w, h], not {box!r}")
     return MissionConfig(
-        arena=ArenaConfig(**_reals(cfg, "arena")),
+        arena=_block(ArenaConfig, cfg, "arena"),
         n_robots=_count(cfg["robots"], "robots"),
-        kinematics=KinematicParams(**_reals(cfg, "kinematics")),
-        pi=PIState(**_reals(cfg, "pi")),
+        kinematics=_block(KinematicParams, cfg, "kinematics"),
+        pi=_block(PIState, cfg, "pi"),
         grid_rows=_count(grid[0], "grid[0]"),
         grid_cols=_count(grid[1], "grid[1]"),
         max_time=_real(cfg["max_time"], "max_time"),
@@ -199,16 +202,7 @@ def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionCo
 
 
 def distribution_from(cfg: dict) -> DistributionSpec:
-    t = cfg["targets"]
-    return DistributionSpec(
-        kind=t["kind"],
-        total_targets=_count(t["total"], "targets.total"),
-        mrt_fraction=_real(t["mrt_fraction"], "targets.mrt_fraction"),
-        mrt_visits=_count(t["mrt_visits"], "targets.mrt_visits"),
-        cluster_count=(None if t["cluster_count"] is None
-                       else _count(t["cluster_count"], "targets.cluster_count")),
-        cluster_radius=_real(t["cluster_radius"], "targets.cluster_radius"),
-    )
+    return _block(DistributionSpec, cfg, "targets")
 
 
 _POLICY_INPUTS = {"conflict": qnet.NetworkSpec.conflict().input_dim,
@@ -279,16 +273,18 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
         raise ValueError("repetitions must be >= 1")
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, not {jobs!r}")
-    job_list = []
-    idx = 0
-    for value in values:
-        run_cfg = _apply_axis(cfg, axis, value)
-        for rep in range(reps):
-            job_list.append((value, rep, splitmix64(master_seed, idx), run_cfg))
-            idx += 1
+    run_cfgs = [_apply_axis(cfg, axis, value) for value in values]
     # load the policies here first, so a bad file is named before a worker
     # starts; every worker loads them again, so start no more than the runs
     _worker_init(conflict_path, free_path)
+    # every value's config, and the output directory, before the first mission
+    for run_cfg in run_cfgs:
+        mission_config_from(run_cfg, master_seed)
+        distribution_from(run_cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    job_list = [(value, rep, splitmix64(master_seed, i * reps + rep), run_cfg)
+                for i, (value, run_cfg) in enumerate(zip(values, run_cfgs))
+                for rep in range(reps)]
     workers = min(jobs, len(job_list))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -301,7 +297,6 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
     else:
         rows = [_worker_run(j) for j in job_list]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "runs.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["axis_value", "repetition", "child_seed", "mission_time",
@@ -317,7 +312,7 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
             "axis_value": value,
             "runs": len(times),
             "mean_time": float(np.mean(times)),
-            "std_time": float(np.std(times)) if len(times) > 1 else 0.0,
+            "std_time": float(np.std(times)),
             "success_rate": float(np.mean(succ)),
         })
     with open(out_dir / "summary.csv", "w", newline="") as f:

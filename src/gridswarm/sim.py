@@ -223,10 +223,9 @@ class Mission:
             self._seq_stamp[assigned] = self.world.time
 
         if ctl.engaged is not None:
-            eng = targets_by_id.get(ctl.engaged)
+            eng = targets_by_id[ctl.engaged]
             # in_bound has an entry for every target in view or remembered
-            if (eng is not None and eng.live and robot.id not in eng.visited_by
-                    and ctl.engaged in in_bound):
+            if eng.live and robot.id not in eng.visited_by and ctl.engaged in in_bound:
                 assigned = ctl.engaged
             else:
                 ctl.engaged = None

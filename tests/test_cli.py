@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 import yaml
 
 from gridswarm import cli, qnet
+from gridswarm.motion import KinematicParams, PIState
 from gridswarm.sim import MissionConfig
 from gridswarm.world import ArenaConfig
 
@@ -42,7 +44,7 @@ def test_distribution_spec_validation():
 
 def test_generate_uniform_scenario():
     arena = ArenaConfig()
-    spec = cli.DistributionSpec(total_targets=15, mrt_fraction=0.2)
+    spec = cli.DistributionSpec(total=15, mrt_fraction=0.2)
     targets = cli.generate_scenario(spec, arena, np.random.default_rng(0))
     assert len(targets) == 15
     assert all(arena.contains(t.position) for t in targets)
@@ -52,7 +54,7 @@ def test_generate_uniform_scenario():
 def test_generate_clustered_scenario():
     arena = ArenaConfig()
     spec = cli.DistributionSpec(
-        kind="clustered", total_targets=15, cluster_count=4, cluster_radius=10.0,
+        kind="clustered", total=15, cluster_count=4, cluster_radius=10.0,
         mrt_fraction=0.0,
     )
     rng = np.random.default_rng(1)
@@ -73,7 +75,7 @@ def test_generate_clustered_scenario():
 
 def test_scenario_deterministic():
     arena = ArenaConfig()
-    spec = cli.DistributionSpec(kind="clustered", total_targets=9)
+    spec = cli.DistributionSpec(kind="clustered", total=9)
     a = cli.generate_scenario(spec, arena, np.random.default_rng(3))
     b = cli.generate_scenario(spec, arena, np.random.default_rng(3))
     assert [t.position for t in a] == [t.position for t in b]
@@ -105,6 +107,10 @@ def test_default_config_is_the_library_defaults():
     cfg = cli.load_config(None)
     assert cli.mission_config_from(cfg, seed=0) == MissionConfig()
     assert cli.distribution_from(cfg) == cli.DistributionSpec()
+    # each mapping block is its dataclass's fields, declared nowhere else
+    for block, default in [("arena", ArenaConfig()), ("kinematics", KinematicParams()),
+                           ("pi", PIState()), ("targets", cli.DistributionSpec())]:
+        assert cli.DEFAULT_CONFIG[block] == dataclasses.asdict(default), block
 
 
 @pytest.mark.parametrize("key, value, field", [
@@ -124,6 +130,10 @@ def test_bad_mission_geometry_rejected_at_config_time(key, value, field):
         cli.mission_config_from(cfg, seed=0)
 
 
+TARGET_FIELDS = {kind: [f for f in dataclasses.fields(cli.DistributionSpec)
+                       if f.type.startswith(kind)] for kind in ("int", "float")}
+
+
 @pytest.mark.parametrize("override, message", [
     ({"robots": True}, "config robots must be an integer, not True"),
     ({"robots": "6"}, "config robots must be an integer, not '6'"),
@@ -133,11 +143,9 @@ def test_bad_mission_geometry_rejected_at_config_time(key, value, field):
     ({"grid": [7, 7, 7]}, "config grid must be a list [rows, cols], not [7, 7, 7]"),
     ({"grid": [7]}, "config grid must be a list [rows, cols], not [7]"),
     ({"grid": 7}, "config grid must be a list [rows, cols], not 7"),
-    ({"targets": {"total": 4.5}}, "config targets.total must be an integer, not 4.5"),
-    ({"targets": {"mrt_visits": 2.7}},
-     "config targets.mrt_visits must be an integer, not 2.7"),
-    ({"targets": {"cluster_count": 2.5}},
-     "config targets.cluster_count must be an integer, not 2.5"),
+    # every int field of the targets block, each given a non-integral value
+    *(({"targets": {f.name: bad}}, f"config targets.{f.name} must be an integer, not {bad}")
+      for f, bad in zip(TARGET_FIELDS["int"], itertools.cycle((4.5, 2.7, 2.5)))),
 ])
 def test_counts_must_be_integers(tmp_path, override, message):
     p = tmp_path / "c.yaml"
@@ -150,7 +158,7 @@ def test_counts_must_be_integers(tmp_path, override, message):
 
 HUGE = 10 ** 400  # a YAML integer beyond the float range
 
-REAL_KEYS = [("max_time",), ("targets", "mrt_fraction"), ("targets", "cluster_radius")]
+REAL_KEYS = [("max_time",)] + [("targets", f.name) for f in TARGET_FIELDS["float"]]
 REAL_KEYS += [(block, key) for block in ("arena", "kinematics", "pi")
               for key in cli.DEFAULT_CONFIG[block]]
 
@@ -340,6 +348,47 @@ def test_sweep_parallel_matches_serial(tmp_path, policy_files):
     serial = cli.run_sweep(cfg, 7, *policy_files, tmp_path / "ser", jobs=1)
     par = cli.run_sweep(cfg, 7, *policy_files, tmp_path / "par", jobs=2)
     assert serial["rows"] == par["rows"]
+
+
+def count_missions(monkeypatch):
+    """The list `cli._worker_run` appends each mission's job to from now on."""
+    jobs, run = [], cli._worker_run
+
+    def counted(job):
+        jobs.append(job)
+        return run(job)
+
+    monkeypatch.setattr(cli, "_worker_run", counted)
+    return jobs
+
+
+def test_sweep_checks_out_before_the_first_mission(tmp_path, policy_files, monkeypatch):
+    missions = count_missions(monkeypatch)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        cli.run_sweep(small_cfg(), 0, *policy_files, tmp_path / "file" / "out", jobs=1)
+    assert missions == []
+
+
+def test_sweep_checks_every_value_before_the_first_mission(tmp_path, policy_files,
+                                                          monkeypatch):
+    missions = count_missions(monkeypatch)
+    cfg = small_cfg()
+    cfg["sweep"]["values"] = [3, 0]
+    with pytest.raises(ValueError, match="need at least one robot"):
+        cli.run_sweep(cfg, 0, *policy_files, tmp_path / "out", jobs=1)
+    assert missions == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_repetition_sweep_writes_zero_spread(tmp_path, policy_files):
+    cfg = small_cfg()
+    cfg["sweep"]["repetitions"] = 1
+    cli.run_sweep(cfg, 5, *policy_files, tmp_path / "out")
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())["rows"]
+    assert [row["std_time"] for row in rows] == [0.0, 0.0]
+    with open(tmp_path / "out" / "summary.csv") as f:
+        assert [row["std_time"] for row in csv.DictReader(f)] == ["0.0", "0.0"]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
