@@ -20,12 +20,14 @@ stacked pass, which `td_loss` uses.  What a caller gets back lives as
 follows:
 
 - q from `forward_cached` (and `forward`), and q and the target's q from
-  `forward_pair`, are fresh arrays;
+  `forward_pair`, are fresh column-major arrays;
 - the layer inputs `hs` from `forward_cached` and `forward_pair` belong to
   the net and hold until its next pass at the same batch size;
 - the gradients from `backward` (and `td_loss`) are views into the net's
   gradient buffer and hold until its next `backward`; `sgd_step` scales
-  them by the learning rate in place.
+  them by the learning rate in place;
+- a game's `action_mask` is a read-only array shared by every call at
+  the same node.
 """
 
 from __future__ import annotations
@@ -250,21 +252,25 @@ def _split(flat: np.ndarray, shapes: list) -> tuple:
 
 def _run(plan) -> np.ndarray:
     """Run one forward pass of a `_Workspace` plan, 2-D or stacked; the
-    softmax reduces over the last axis."""
-    layers, x, wt, z, row = plan
+    softmax runs on a column-major copy of the logits, where its reductions
+    over the last axis add each row's terms in the order a C-ordered row
+    would, with numpy's fast loop over the rows."""
+    layers, x, wt, z, zf, row = plan
     # outputs are passed positionally: an out= keyword costs a parse per call
     for x_k, wt_k, pre, h, skip_to in layers:
         if pre is None:  # the linear layer writes its activations in place
             np.matmul(x_k, wt_k, h)
-        else:
+        else:  # tanh in place on a contiguous buffer beats writing a strided view
             np.matmul(x_k, wt_k, pre)
-            np.tanh(pre, h)
+            np.tanh(pre, pre)
+            np.copyto(h, pre)
         if skip_to is not None:
             np.copyto(skip_to, h)
-    np.matmul(x, wt, z)
-    np.subtract(z, np.maximum.reduce(z, -1, None, row, True), z)
-    np.exp(z, z)
-    return z / np.add.reduce(z, -1, None, row, True)
+    np.matmul(x, wt, z)  # a column-major z changes the gemm's bits on some kernels
+    np.copyto(zf, z)
+    np.subtract(zf, np.maximum.reduce(zf, -1, None, row, True), zf)
+    np.exp(zf, zf)
+    return zf / np.add.reduce(zf, -1, None, row, True)
 
 
 class _Workspace:
@@ -274,20 +280,22 @@ class _Workspace:
     and slice 1 the target pass's.  `pair` plans the stacked pass over both
     slices and `single` the pass over slice 0 alone, whose views have the
     shapes and strides of a (B, in+1) buffer of their own.  A plan is
-    (layers, output-layer input, its transposed weights, logits buffer,
-    buffer of the max and then the sum of each logit row); `layers` has one
-    entry per hidden layer: (input, transposed weights, pre-activation
-    buffer or None on the linear layer, activation view, view of the
-    concatenation input the activation is copied into, or None).
+    (layers, output-layer input, its transposed weights, C-ordered logits
+    buffer, its column-major copy (each slice contiguous), buffer of the
+    max and then the sum of each logit row); `layers` has one entry per
+    hidden layer: (input, transposed weights, contiguous buffer of the
+    pre-activation and then the activation, or None on the linear layer,
+    activation view in the next input, view of the concatenation input the
+    activation is copied into, or None).
 
     `back` drives the backward pass, last hidden layer first: (dL/dh, the
-    skip part of dL/dh or None, activation view, tanh-derivative buffer or
-    None on the linear layer, d = dL/d pre-activation and its transpose,
-    input, gradient view, weights without the bias column, dL/d input
-    buffer or None on layer 1).  dL/dh is the leading columns of the next
-    layer's dL/d input (the output layer's, on the last hidden layer); on
-    the skip source the concatenation layer's tail columns are added into
-    it in place.  `plan_backward` allocates these buffers at the net's
+    skip part of dL/dh or None, contiguous activation, tanh-derivative
+    buffer, both None on the linear layer, d = dL/d pre-activation and its
+    transpose, input, gradient view, weights without the bias column, dL/d
+    input buffer or None on layer 1).  dL/dh is the leading columns of the
+    next layer's dL/d input (the output layer's, on the last hidden layer);
+    on the skip source the concatenation layer's tail columns are added
+    into it in place.  `plan_backward` allocates these buffers at the net's
     first backward at this batch size, so a net that only acts holds none.
     """
 
@@ -305,7 +313,9 @@ class _Workspace:
             layers.append((inputs[k - 1], net._transposed[k - 1], pre, inputs[k][..., :w],
                            skip_to))
         self.pair = (layers, inputs[-1], net._transposed[-1],
-                     np.empty((2, batch, spec.output_dim)), np.empty((2, batch, 1)))
+                     np.empty((2, batch, spec.output_dim)),
+                     np.empty((2, spec.output_dim, batch)).transpose(0, 2, 1),
+                     np.empty((2, batch, 1)))
         self.single = ([tuple(v if v is None else v[0] for v in layer) for layer in layers],
                        *(v[0] for v in self.pair[1:]))
         self.inputs = [x[0] for x in inputs]
@@ -333,7 +343,8 @@ class _Workspace:
                        if skip is not None and k == skip[0] else None)
             deriv = None if spec.is_linear(k) else np.empty((batch, w))
             d = dh if deriv is None else deriv
-            self.back.append((dh, skip_dh, self.inputs[k][:, :w], deriv, d, d.T,
+            act = self.pair[0][k - 1][2]  # the contiguous activations, or None
+            self.back.append((dh, skip_dh, None if act is None else act[0], deriv, d, d.T,
                               self.inputs[k - 1], net._grads[k - 1], net._unbiased[k - 1],
                               dinps.get(k)))
 
@@ -358,8 +369,10 @@ def td_loss(net: QNetwork, batch: dict, gamma: float):
     if n == 0:
         raise ValueError("empty batch")
     q, q2, hs = net.forward_pair(s, batch["s2"])
-    q2 = np.where(batch["avail2"], q2, -np.inf)
-    max_q2 = np.where(batch["terminal"], 0.0, np.maximum.reduce(q2, axis=1))
+    # exact: q2 >= +0.0 (a softmax) and STAY is always available, so zeroing
+    # the unavailable actions keeps each row's max, and zeroing a terminal
+    # row makes it +0.0; the transposes reduce over q2's outer axis
+    max_q2 = np.maximum.reduce(q2.T * (batch["avail2"].T & ~batch["terminal"]), 0)
     y = r + gamma * max_q2
     err = y - q[np.arange(n), a]
     loss = float(np.add.reduce(err * err)) / n  # the bits of np.mean(err**2)
@@ -369,16 +382,18 @@ def td_loss(net: QNetwork, batch: dict, gamma: float):
 
 
 def act_epsilon_greedy(net: QNetwork, state, avail: np.ndarray, eps: float, rng) -> int:
-    """Explore uniformly over available actions with prob eps, else argmax."""
+    """Explore uniformly over available actions with prob eps, else argmax;
+    `avail` holds one flag per action."""
     avail = np.asarray(avail, dtype=bool)
-    if not avail.any():
+    if avail.shape != (N_ACTIONS,):
+        raise ValueError(f"an action mask has shape ({N_ACTIONS},), not {avail.shape}")
+    choices = avail.nonzero()[0]
+    if not len(choices):
         raise ValueError("no available action")
     if eps > 0 and rng.random() < eps:
-        choices = np.flatnonzero(avail)
         return int(choices[rng.integers(len(choices))])
     q = net.forward(np.asarray(state, dtype=float))
-    q = np.where(avail, q, -np.inf)
-    return int(np.argmax(q))  # ties resolve to the lowest action index
+    return int(choices[q.take(choices).argmax()])  # ties go to the lowest action index
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +542,15 @@ class ReplayBuffer:
 STEP_PENALTY, GOAL_REWARD, COLLISION_REWARD = -0.1, 1.0, -1.0
 
 
+def _mask_table(size: int) -> dict:
+    """Read-only `action_mask_bounds` of every node of a size x size board."""
+    table = {}
+    for node in np.ndindex(size, size):
+        mask = table[node] = action_mask_bounds(node, size, size)
+        mask.flags.writeable = False
+    return table
+
+
 class ConflictGame:
     """Self-play conflict episodes on a 4x4 playfield.
 
@@ -543,6 +567,7 @@ class ConflictGame:
 
     SIZE = 4
     MAX_STEPS = 12
+    MASKS = _mask_table(SIZE)
 
     def __init__(self, n_agents: int = 2):
         if not 2 <= n_agents <= 4:
@@ -572,13 +597,12 @@ class ConflictGame:
         Peers that already resolved their task have left the field and are
         neither probed nor bound.
         """
-        r, c = self.pos[i]
-        others = [j for j in range(self.n_agents) if j != i and not self.done[j]]
+        pos = self.pos
+        r, c = pos[i]
+        others = [j for j, done in enumerate(self.done) if j != i and not done]
+        orr, oc = r, c
         if others:
-            j = min(others, key=lambda j: (abs(self.pos[j][0] - r) + abs(self.pos[j][1] - c), j))
-            orr, oc = self.pos[j]
-        else:
-            orr, oc = r, c
+            orr, oc = pos[min(others, key=lambda j: (abs(pos[j][0] - r) + abs(pos[j][1] - c), j))]
         # a peer level with self on an axis is probed one node past, so the
         # block takes the later start there (missions take the earlier one);
         # ROADMAP item 6 says why the rules stay apart
@@ -586,12 +610,12 @@ class ConflictGame:
                                2, self.SIZE, self.SIZE)
         # the encoder looks up only the block's four nodes, so every active
         # peer is bound
-        bindings = {self.pos[k]: ("robot", k) for k in others}
-        goals = {k: self.goal[k] for k in range(self.n_agents)}
-        return encode_conflict_state(corner, bindings, self.pos[i], self.goal[i], goals)
+        bindings = {pos[k]: ("robot", k) for k in others}
+        return encode_conflict_state(corner, bindings, pos[i], self.goal[i],
+                                     dict(enumerate(self.goal)))
 
     def action_mask(self, i: int) -> np.ndarray:
-        return action_mask_bounds(self.pos[i], self.SIZE, self.SIZE)
+        return self.MASKS[self.pos[i]]
 
     def step(self, actions: dict) -> dict:
         """Advance active agents; returns {agent: (reward, terminal)}."""
@@ -628,6 +652,7 @@ class FreeGame:
 
     SIZE = 3
     MAX_STEPS = 20
+    MASKS = _mask_table(SIZE)
 
     def reset(self, rng):
         self.pos = (int(rng.integers(self.SIZE)), int(rng.integers(self.SIZE)))
@@ -646,7 +671,7 @@ class FreeGame:
         )
 
     def action_mask(self) -> np.ndarray:
-        return action_mask_bounds(self.pos, self.SIZE, self.SIZE)
+        return self.MASKS[self.pos]
 
     def step(self, action: int):
         dr, dc = ACTION_DELTAS[action]

@@ -133,22 +133,21 @@ def encode_conflict_state(corner, bindings: dict, self_node,
     block's four nodes are looked up in `bindings`.
     """
     r0, c0 = corner
-    self_node = tuple(self_node)
-    ring = [(r0 + 1, c0), (r0 + 1, c0 + 1), (r0, c0 + 1), (r0, c0)]  # NW, NE, SE, SW
-    start = ring.index(self_node)
+    sr, sc = self_node
+    ring = ((r0 + 1, c0), (r0 + 1, c0 + 1), (r0, c0 + 1), (r0, c0))  # NW, NE, SE, SW
+    start = ring.index((sr, sc))
     out = np.zeros(12)
-    for i, node in enumerate(ring[start:] + ring[:start]):
-        if node == self_node:
-            goal, flag = own_target, 1.0
-        else:
-            b = bindings.get(node)
-            if b is None or b[0] != "robot":
-                continue
-            goal, flag = robot_goals.get(b[1]), 0.0
+    out[2] = 1.0  # self comes first, whatever `bindings` holds at its node
+    if own_target is not None:
+        out[0] = sign(own_target[1] - sc)  # column displacement
+        out[1] = sign(own_target[0] - sr)  # row displacement
+    for i in 1, 2, 3:
+        node = ring[(start + i) % 4]
+        b = bindings.get(node)
+        goal = robot_goals.get(b[1]) if b is not None and b[0] == "robot" else None
         if goal is not None:
-            out[3 * i] = sign(goal[1] - node[1])  # column displacement
-            out[3 * i + 1] = sign(goal[0] - node[0])  # row displacement
-        out[3 * i + 2] = flag
+            out[3 * i] = sign(goal[1] - node[1])
+            out[3 * i + 1] = sign(goal[0] - node[0])
     return out
 
 

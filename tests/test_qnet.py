@@ -1,4 +1,6 @@
+import itertools
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +22,9 @@ from gridswarm.qnet import (
     sync_target,
     td_loss,
 )
-from gridswarm.scenario import STAY, sign
+from gridswarm.scenario import STAY, action_mask_bounds, sign
+
+POLICIES = Path(__file__).resolve().parents[1] / "perfbench" / "policies"
 
 
 def make(spec, seed=0):
@@ -176,10 +180,61 @@ class TestPolicy:
         assert chi2 < 13.8  # p ~ 0.001 at 2 dof
 
     def test_no_available_action_raises(self):
+        """Before any draw, whether the act would explore or not."""
         net = make(NetworkSpec.free())
-        with pytest.raises(ValueError):
-            act_epsilon_greedy(net, np.zeros(2), np.zeros(5, dtype=bool), 0.0,
-                               np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match="no available action"):
+                act_epsilon_greedy(net, np.zeros(2), np.zeros(5, dtype=bool), eps, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    @pytest.mark.parametrize("avail", [[True], [True] * 6, [[True] * 5]],
+                             ids=["1-long", "6-long", "2-D"])
+    def test_a_mask_of_another_shape_raises_before_any_draw(self, avail, eps):
+        """A 1-long mask would broadcast against q, and a 6-long one could
+        pick an action that does not exist."""
+        net = make(NetworkSpec.free())
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="shape"):
+            act_epsilon_greedy(net, np.zeros(2), np.array(avail), eps, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5, 1.0])
+    def test_matches_the_plain_form_draw_for_draw(self, eps):
+        """Every non-empty mask, on a net with distinct Q-values and on one
+        whose Q-values all tie: the same action, and the generator left in
+        the same state, as `plain_act`."""
+        masks = [np.array(bits) for bits in itertools.product((False, True), repeat=5)
+                 if any(bits)]
+        assert len(masks) == 31
+        tied = make(NetworkSpec.free())
+        tied.weights[-1][...] = 0.0  # every Q-value is exactly 1/5
+        states = np.random.default_rng(99).normal(size=(4, 2))
+        for net in (make(NetworkSpec.free()), tied):
+            for seed in range(5):
+                rng, plain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for avail in masks:
+                    for state in states:
+                        got = act_epsilon_greedy(net, state, avail, eps, rng)
+                        assert got == plain_act(net, state, avail, eps, plain_rng)
+                        assert rng.bit_generator.state == plain_rng.bit_generator.state
+
+
+def plain_act(net, state, avail, eps, rng) -> int:
+    """The plain form of `act_epsilon_greedy` on a 5-long mask: a test for
+    any available action, `flatnonzero` to explore, and `np.where` then
+    `argmax` to act greedily."""
+    avail = np.asarray(avail, dtype=bool)
+    if not avail.any():
+        raise ValueError("no available action")
+    if eps > 0 and rng.random() < eps:
+        choices = np.flatnonzero(avail)
+        return int(choices[rng.integers(len(choices))])
+    q = net.forward(np.asarray(state, dtype=float))
+    return int(np.argmax(np.where(avail, q, -np.inf)))
 
 
 class TestPersistence:
@@ -412,6 +467,23 @@ class TestGames:
                                for i in active})
         assert checked > 10_000
 
+    @pytest.mark.parametrize("game", [ConflictGame(2), FreeGame()], ids=["conflict", "free"])
+    def test_masks_are_read_only_entries_of_one_table_per_board(self, game):
+        nodes = list(itertools.product(range(game.SIZE), repeat=2))
+        assert sorted(game.MASKS) == nodes
+        for node in nodes:
+            mask = game.MASKS[node]
+            want = action_mask_bounds(node, game.SIZE, game.SIZE)
+            assert mask.dtype == want.dtype and mask.tobytes() == want.tobytes()
+            if isinstance(game, ConflictGame):
+                game.pos = [(0, 0), node]
+                assert game.action_mask(1) is mask
+            else:
+                game.pos = node
+                assert game.action_mask() is mask
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = not mask[0]
+
     def test_free_game_reward_bounds(self):
         rng = np.random.default_rng(3)
         game = FreeGame()
@@ -524,3 +596,41 @@ def test_every_sgd_update_passes_the_step_sites(monkeypatch):
     assert log == want_log  # the wrappers change nothing
     for w, want in zip(net.weights, want_net.weights):
         assert w.tobytes() == want.tobytes()
+
+
+class Start:
+    """A stand-in for the generator that makes `ConflictGame.reset` place
+    one given 2-agent start: block corner, spawn order, goal order."""
+
+    def __init__(self, r0, c0, spawn, goal):
+        self.corner = [r0, c0]
+        # each order leads a permutation of the block's four nodes
+        self.orders = [list(order) + [k for k in range(4) if k not in order]
+                       for order in (spawn, goal)]
+
+    def integers(self, _high):
+        return self.corner.pop(0)
+
+    def permutation(self, _n):
+        return np.array(self.orders.pop(0))
+
+
+def test_greedy_shipped_conflict_policy_collides_on_12_of_all_1296_starts():
+    """A greedy episode draws nothing, so the 9 blocks x 12 spawn orders x
+    12 goal orders, all equally likely, give the exact avoidance rate of
+    the shipped policy, end to end through the encoder and the greedy act."""
+    net = load_weights(POLICIES / "conflict.qnet")
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    game = ConflictGame(2)
+    orders = list(itertools.permutations(range(4), 2))
+    collided = 0
+    for r0, c0 in itertools.product(range(3), repeat=2):
+        for spawn, goal in itertools.product(orders, repeat=2):
+            game.reset(Start(r0, c0, spawn, goal))
+            qnet._conflict_episode(
+                game, lambda s, avail: act_epsilon_greedy(net, s, avail, 0.0, rng), None)
+            collided += game.collided
+    assert 9 * len(orders) ** 2 == 1296
+    assert collided == 12
+    assert rng.bit_generator.state == before
