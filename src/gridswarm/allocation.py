@@ -29,7 +29,6 @@ class CostMatrix:
 @dataclass
 class Allocation:
     assigned: dict = field(default_factory=dict)  # robot_id -> target_id
-    sequences: dict = field(default_factory=dict)  # target_id -> (robot ids)
 
     def robots_on(self, target_id) -> list:
         return [r for r, t in self.assigned.items() if t == target_id]
@@ -181,12 +180,13 @@ def _assign(c) -> tuple:
     return col4row, row4col
 
 
-def mrt_sequence(alloc: Allocation, cost: CostMatrix) -> Allocation:
-    """Order each target's assigned robots by distance, ties by robot id."""
+def mrt_sequence(alloc: Allocation, cost: CostMatrix) -> dict:
+    """Each target's assigned robots, ordered by distance, ties by robot id."""
     col = {tid: j for j, tid in enumerate(cost.target_ids)}
     row = {rid: i for i, rid in enumerate(cost.robot_ids)}
+    sequences = {}
     for tid in set(alloc.assigned.values()):
         robots = alloc.robots_on(tid)
         robots.sort(key=lambda r: (cost.entries[row[r]][col[tid]], r))
-        alloc.sequences[tid] = tuple(robots)
-    return alloc
+        sequences[tid] = tuple(robots)
+    return sequences

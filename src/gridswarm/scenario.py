@@ -138,9 +138,8 @@ def encode_conflict_state(corner, bindings: dict, self_node,
     start = ring.index((sr, sc))
     out = np.zeros(12)
     out[2] = 1.0  # self comes first, whatever `bindings` holds at its node
-    if own_target is not None:
-        out[0] = sign(own_target[1] - sc)  # column displacement
-        out[1] = sign(own_target[0] - sr)  # row displacement
+    out[0] = sign(own_target[1] - sc)  # column displacement
+    out[1] = sign(own_target[0] - sr)  # row displacement
     for i in 1, 2, 3:
         node = ring[(start + i) % 4]
         b = bindings.get(node)

@@ -11,9 +11,10 @@ moves one dt and commits its neutralizations, then counts collisions;
 Robots exchange no messages, but decisions read live state, not a frozen
 snapshot: a robot allocated to a multi-visit target takes the next open
 slot of its visit sequence at once (`world.commit`), and holds next to a
-target whose next slot is another's (`world.waits_for`).  That sequence is
-a target-side blackboard; `step` drops its uncommitted tail after
-SEQUENCE_TIMEOUT seconds without progress.
+target whose next slot is another's (`world.waits_for`).  That channel is
+the target's `visit_sequence` and its `active_at` time, which
+`world.commit` and `world.try_neutralize` write; `step` drops the
+sequence's uncommitted tail after SEQUENCE_TIMEOUT seconds without either.
 """
 
 from __future__ import annotations
@@ -159,9 +160,7 @@ class Mission:
         self.sweep_idx = 0
         self._sweep_reach = 0.4 * self.arena.swarm_bound_radius
         self._sweep_best = math.inf  # closest centroid approach to the anchor
-        self._sweep_since = 0.0  # time of last approach improvement
-        self._last_visit = 0.0  # time of last successful neutralization
-        self._seq_stamp: dict = {}  # target id -> time of last sequence activity
+        self._progress_at = 0.0  # time of last approach gain, anchor advance or visit
         # targets only die, so the live list is rebuilt only when one does
         self.live_targets = [t for t in own if t.live]
         self._multi_visit = [t for t in own if t.required_visits > 1]
@@ -219,8 +218,8 @@ class Mission:
         alloc = alloc_mod.allocate(cost, caps)
 
         assigned = alloc.assigned.get(robot.id)
-        if assigned is not None and world_mod.commit(robot.id, targets_by_id[assigned]):
-            self._seq_stamp[assigned] = self.world.time
+        if assigned is not None:
+            world_mod.commit(robot.id, targets_by_id[assigned], self.world.time)
 
         if ctl.engaged is not None:
             eng = targets_by_id[ctl.engaged]
@@ -330,12 +329,10 @@ class Mission:
         robots, ctls, dist = world.robots, self.ctl, math.dist
         dt = cfg.kinematics.dt
         now = world.time
-        seq_stamp = self._seq_stamp
         for tgt in self._multi_visit:
             if (tgt.live and len(tgt.visit_sequence) > tgt.sequence_progress
-                    and now - seq_stamp.get(tgt.id, 0.0) > SEQUENCE_TIMEOUT):
+                    and now - tgt.active_at > SEQUENCE_TIMEOUT):
                 tgt.visit_sequence = tgt.visit_sequence[:tgt.sequence_progress]
-                seq_stamp.pop(tgt.id, None)
         # the HALE broadcasts one centroid per step; no robot moves while
         # robots decide, so it also holds for the motion below
         centroid = world_mod.hale_centroid(robots)
@@ -353,12 +350,11 @@ class Mission:
         d = dist(centroid, anchor)
         if d < self._sweep_best - 0.5:
             self._sweep_best = d
-            self._sweep_since = now
-        if d <= self._sweep_reach or now - max(
-                self._sweep_since, self._last_visit) > ANCHOR_STALL:
+            self._progress_at = now
+        if d <= self._sweep_reach or now - self._progress_at > ANCHOR_STALL:
             self.sweep_idx = (self.sweep_idx + 1) % len(self.sweep_anchors)
             self._sweep_best = math.inf
-            self._sweep_since = now
+            self._progress_at = now
 
         kp, ki, kin = cfg.pi.kp, cfg.pi.ki, cfg.kinematics
         bound, reach = arena.swarm_bound_radius, arena.neutralize_radius
@@ -377,9 +373,8 @@ class Mission:
             # a target can die within this pass, so `tgt.live` is tested again
             for tgt in live:
                 if dist(position, tgt.position) <= reach and tgt.live \
-                        and world_mod.try_neutralize(robot.id, tgt):
-                    seq_stamp[tgt.id] = now + dt
-                    self._last_visit = now
+                        and world_mod.try_neutralize(robot.id, tgt, now + dt):
+                    self._progress_at = now
                     if not tgt.live:
                         self.target_times[tgt.id] = now + dt
                         died = True

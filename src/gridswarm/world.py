@@ -2,9 +2,9 @@
 
 All state here is plain data.  Visits mutate it only through
 `try_neutralize`, which the mission engine calls in a single-writer commit
-phase.  The exception is `Target.visit_sequence`, the target-side
-blackboard that `commit` writes mid-decision and the mission engine
-truncates on a timeout (see `gridswarm.sim`).
+phase.  The exception is the target-side channel, `Target.visit_sequence`
+and its `active_at` time: `commit` also writes both mid-decision, and
+`sim.Mission.step`'s timeout drops the sequence's tail.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ class Target:
     live: bool = True
     visit_sequence: tuple = ()
     visited_by: set = field(default_factory=set)
+    active_at: float = field(default=0.0, init=False)  # time of last slot or visit
 
     def __post_init__(self):
         if self.required_visits < 1:
@@ -128,7 +129,7 @@ def waits_for(robot_id: int, target: Target) -> bool:
     return k < len(seq) and seq[k] != robot_id
 
 
-def commit(robot_id: int, target: Target) -> bool:
+def commit(robot_id: int, target: Target, now: float) -> bool:
     """Take the next open slot of a multi-visit target; True if one was written.
 
     A robot commits only ITSELF: a peer named from one robot's local view
@@ -142,10 +143,11 @@ def commit(robot_id: int, target: Target) -> bool:
     if target.required_visits == 1 or robot_id in seq or len(seq) >= target.required_visits:
         return False
     target.visit_sequence = seq + (robot_id,)
+    target.active_at = now
     return True
 
 
-def try_neutralize(robot_id: int, target: Target) -> bool:
+def try_neutralize(robot_id: int, target: Target, now: float) -> bool:
     """Attempt one neutralization visit; returns True if progress advanced.
 
     A visit counts unless the target is dead, this robot visited it before,
@@ -154,7 +156,8 @@ def try_neutralize(robot_id: int, target: Target) -> bool:
     """
     if not target.live or robot_id in target.visited_by or waits_for(robot_id, target):
         return False
-    commit(robot_id, target)
+    commit(robot_id, target, now)
+    target.active_at = now
     target.sequence_progress += 1
     target.visited_by.add(robot_id)
     if target.sequence_progress >= target.required_visits:

@@ -92,8 +92,7 @@ def test_allocate_empty():
 def test_mrt_sequence_orders_by_distance_then_id():
     cm = CostMatrix(np.array([[5.0], [2.0], [2.0]]), (0, 1, 2), (9,))
     a = Allocation(assigned={0: 9, 1: 9, 2: 9})
-    a = mrt_sequence(a, cm)
-    assert a.sequences[9] == (1, 2, 0)
+    assert mrt_sequence(a, cm) == {9: (1, 2, 0)}
 
 
 @settings(max_examples=60, deadline=None)

@@ -205,7 +205,12 @@ def test_mission_invariants_hold_after_every_step(nets, case):
 
 def reference_step(m):
     """`Mission.step` as three passes: move every robot, then test every
-    robot's visits against a fresh live list, then count collisions."""
+    robot's visits against a fresh live list, then count collisions.
+
+    The sequence timeout reads the twin's own stamps: a decision that grew a
+    sequence stamps it, a visit stamps its target, and a tail drop pops the
+    stamp.  The anchor stall reads the later of the approach clock and the
+    visit clock."""
     cfg = m.config
     dt = cfg.kinematics.dt
     for tgt in m.world.targets:
@@ -220,7 +225,11 @@ def reference_step(m):
         ctl = m.ctl[robot.id]
         if ctl.waypoint is None or m.world.time >= ctl.deadline or \
                 math.dist(robot.position, ctl.waypoint) <= m.arrival:
+            held = [len(t.visit_sequence) for t in m.world.targets]
             m._decide(robot, centroid)
+            for tgt, n in zip(m.world.targets, held):
+                if len(tgt.visit_sequence) > n:
+                    m._seq_stamp[tgt.id] = m.world.time
 
     anchor = m.sweep_anchors[m.sweep_idx]
     d = math.dist(centroid, anchor)
@@ -250,7 +259,7 @@ def reference_step(m):
         for tgt in live:
             if tgt.live and math.dist(robot.position, tgt.position) \
                     <= m.arena.neutralize_radius:
-                if world_mod.try_neutralize(robot.id, tgt):
+                if world_mod.try_neutralize(robot.id, tgt, m.world.time + dt):
                     m._seq_stamp[tgt.id] = m.world.time + dt
                     m._last_visit = m.world.time
                     if not tgt.live:
@@ -284,8 +293,8 @@ def _state(m):
     return repr((
         [(r.id, r.position, r.heading, m.ctl[r.id].integral) for r in m.world.robots],
         [(t.id, t.position, t.required_visits, t.sequence_progress, t.live,
-          t.visit_sequence, sorted(t.visited_by)) for t in m.world.targets],
-        sorted(m.target_times.items()), m.collisions, m.world.time,
+          t.visit_sequence, sorted(t.visited_by), t.active_at) for t in m.world.targets],
+        sorted(m.target_times.items()), m.collisions, m.world.time, m.sweep_idx,
     ))
 
 
@@ -293,6 +302,9 @@ def assert_steps_like_the_reference(make):
     """Step `make()` and its twin by `reference_step` in lockstep, comparing
     after every step; return the mission and its sequence timeouts."""
     m, twin = make(), make()
+    # the twin keeps the progress times apart: sequence stamps in a dict by
+    # target id, and the circuit's approach and visit clocks
+    twin._seq_stamp, twin._sweep_since, twin._last_visit = {}, 0.0, 0.0
     steps = timeouts = 0
     while m.world.time < m.config.max_time and any(t.live for t in m.world.targets):
         held = [len(t.visit_sequence) for t in m.world.targets]
@@ -300,6 +312,7 @@ def assert_steps_like_the_reference(make):
         reference_step(twin)
         steps += 1
         assert _state(m) == _state(twin), f"step {steps}"
+        assert m._progress_at == max(twin._sweep_since, twin._last_visit), f"step {steps}"
         assert m.trajectory == twin.trajectory
         timeouts += any(len(t.visit_sequence) < n for t, n in zip(m.world.targets, held))
     assert not (twin.world.time < twin.config.max_time
@@ -323,3 +336,15 @@ def test_default_missions_step_like_the_three_pass_reference(seed):
     m, timeouts = assert_steps_like_the_reference(
         lambda: cli.build_mission(cfg, seed, *policies, log_trajectory=True))
     assert not m.live_targets and m.collisions and timeouts
+
+
+def test_a_committed_tail_drops_one_step_after_the_timeout(nets):
+    cfg = MissionConfig(seed=0)
+    m = Mission(cfg, targets_at(((85.0, 85.0), 2)), *nets)  # beyond every robot's view
+    tgt = m.world.targets[0]
+    assert world_mod.commit(0, tgt, 0.0)
+    m.world.time = sim.SEQUENCE_TIMEOUT
+    m.step()  # now - active_at == SEQUENCE_TIMEOUT: not yet past it
+    assert tgt.visit_sequence == (0,) and tgt.active_at == 0.0
+    m.step()
+    assert tgt.visit_sequence == () and tgt.live

@@ -94,39 +94,41 @@ def test_sense_skips_dead_targets():
 
 def test_neutralize_single_visit():
     t = Target(0, (1, 1), 1)
-    assert try_neutralize(3, t)
-    assert not t.live
-    assert not try_neutralize(4, t)  # already dead
+    assert try_neutralize(3, t, 2.5)
+    assert not t.live and t.active_at == 2.5
+    assert not try_neutralize(4, t, 3.0)  # already dead
+    assert t.active_at == 2.5
 
 
 def test_neutralize_sequence_order():
     t = Target(0, (1, 1), 2, visit_sequence=(2, 5))
-    assert not try_neutralize(5, t)  # out of order
-    assert try_neutralize(2, t)
-    assert t.live and t.sequence_progress == 1
-    assert not try_neutralize(2, t)  # same robot cannot count twice
-    assert try_neutralize(5, t)
-    assert not t.live
+    assert not try_neutralize(5, t, 1.0)  # out of order
+    assert t.active_at == 0.0
+    assert try_neutralize(2, t, 2.0)
+    assert t.live and t.sequence_progress == 1 and t.active_at == 2.0
+    assert not try_neutralize(2, t, 3.0)  # same robot cannot count twice
+    assert try_neutralize(5, t, 4.0)
+    assert not t.live and t.active_at == 4.0
 
 
 def test_neutralize_multivisit_distinct_robots():
     t = Target(0, (1, 1), 3)
     # uncommitted slots accept any new robot and commit it on the spot
-    assert try_neutralize(0, t)
+    assert try_neutralize(0, t, 1.0)
     assert t.live and t.sequence_progress == 1 and t.visit_sequence == (0,)
     # a robot may not count twice against the same target
-    assert not try_neutralize(0, t)
-    assert try_neutralize(2, t)
-    assert try_neutralize(1, t)
+    assert not try_neutralize(0, t, 2.0)
+    assert try_neutralize(2, t, 3.0)
+    assert try_neutralize(1, t, 4.0)
     assert not t.live and t.visit_sequence == (0, 2, 1)
 
 
 def test_neutralize_committed_slot_binds_robot():
     t = Target(0, (1, 1), 2, visit_sequence=(3, 4))
     # only the committed robot for the next slot may advance the sequence
-    assert not try_neutralize(4, t)
-    assert try_neutralize(3, t)
-    assert try_neutralize(4, t)
+    assert not try_neutralize(4, t, 1.0)
+    assert try_neutralize(3, t, 2.0)
+    assert try_neutralize(4, t, 3.0)
     assert not t.live
 
 
@@ -147,8 +149,9 @@ def consistent_targets():
                                  visited_by=set(seq[:progress]))
 
 
-def inline_neutralize(robot_id, t):
-    """Reference visit rule, written out without `commit` and `waits_for`."""
+def inline_neutralize(robot_id, t, now):
+    """Reference visit rule, written out without `commit` and `waits_for`;
+    a visit that counts stamps the target, as a mission visit does."""
     if not t.live or robot_id in t.visited_by:
         return False
     if t.required_visits > 1:
@@ -157,6 +160,7 @@ def inline_neutralize(robot_id, t):
                 return False
         else:
             t.visit_sequence += (robot_id,)
+    t.active_at = now
     t.sequence_progress += 1
     t.visited_by.add(robot_id)
     if t.sequence_progress >= t.required_visits:
@@ -164,11 +168,13 @@ def inline_neutralize(robot_id, t):
     return True
 
 
-def inline_commit(robot_id, t):
-    """Reference slot commitment of a mission decision, written out."""
+def inline_commit(robot_id, t, now):
+    """Reference slot commitment of a mission decision, written out; a
+    written slot stamps the target, as a mission decision does."""
     if t.required_visits > 1 and robot_id not in t.visit_sequence \
             and len(t.visit_sequence) < t.required_visits:
         t.visit_sequence += (robot_id,)
+        t.active_at = now
         return True
     return False
 
@@ -188,8 +194,10 @@ def test_sequence_rules_match_the_inline_rules_on_every_state():
     states = list(consistent_targets())
     assert len(states) == 191
     for t, rid in itertools.product(states, ROBOT_IDS):
-        for rule, inline in ((try_neutralize, inline_neutralize), (commit, inline_commit),
-                             (waits_for, inline_waits)):
+        for rule, inline, now in ((try_neutralize, inline_neutralize, (5.0,)),
+                                  (commit, inline_commit, (5.0,)),
+                                  (waits_for, inline_waits, ())):
             got, want = copy_target(t), copy_target(t)
-            assert rule(rid, got) == inline(rid, want), (rule.__name__, t, rid)
+            assert rule(rid, got, *now) == inline(rid, want, *now), (rule.__name__, t, rid)
+            # dataclass equality includes `active_at`, so this pins the stamps
             assert got == want, (rule.__name__, t, rid)
