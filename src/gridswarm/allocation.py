@@ -75,6 +75,9 @@ def allocate(cost: CostMatrix, capacities: dict) -> Allocation:
     robot_ids, target_ids, entries = cost.robot_ids, cost.target_ids, cost.entries
     if not caps or not robot_ids:
         return alloc
+    # a lone robot is a third of a default mission's allocations, at under
+    # half the solver's cost; the shortcut also keeps a single slot off the
+    # solver path, where `itemgetter(*slots)` would return a bare float
     if len(robot_ids) == 1:
         row = list(entries[0])
         _check_entries([row])

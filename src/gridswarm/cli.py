@@ -161,8 +161,21 @@ def _real(value, key: str) -> float:
     float range, so not NaN or infinite, else a ValueError naming `key`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"config {key} must be a number, not {value!r}")
+        raise ValueError(f"config {key} must be a number, not {value!r}{_exponent_hint(value)}")
     return float(value)
+
+
+def _exponent_hint(value) -> str:
+    """A hint for a string that float() reads with an exponent, which YAML
+    reads as text unless it has a dot and a signed exponent."""
+    if isinstance(value, str) and "e" in value.lower():
+        try:
+            float(value)
+            return (" (YAML reads a number with an exponent only with a dot and a "
+                    "signed exponent, as in 1.0e+300)")
+        except ValueError:
+            pass
+    return ""
 
 
 def _block(cls, cfg: dict, block: str):
@@ -205,18 +218,14 @@ def distribution_from(cfg: dict) -> DistributionSpec:
     return _block(DistributionSpec, cfg, "targets")
 
 
-_POLICY_INPUTS = {"conflict": qnet.NetworkSpec.conflict().input_dim,
-                  "free": qnet.NetworkSpec.free().input_dim}
-
-
 def _load_policy(path, role: str) -> qnet.QNetwork:
     """Weights for the `role` ("conflict" or "free") policy, checked at load."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"policy file not found: {path}")
     net = qnet.load_weights(path)
-    if net.spec.input_dim != _POLICY_INPUTS[role]:
-        raise ValueError(f"{path}: a --policy-{role} net takes {_POLICY_INPUTS[role]} "
-                         f"inputs, this one takes {net.spec.input_dim}")
+    if net.spec != qnet.POLICIES[role]:
+        raise ValueError(f"{path}: --policy-{role} needs the {role} net, this file "
+                         "holds the other one")
     return net
 
 

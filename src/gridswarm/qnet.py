@@ -60,15 +60,6 @@ class NetworkSpec:
     skip_concat: tuple | None = None  # (source layer, destination layer)
     output_dim: ClassVar[int] = N_ACTIONS  # one Q-value per action
 
-    def __post_init__(self):
-        n, skip = len(self.hidden_widths), self.skip_concat
-        if n < 1 or min(self.hidden_widths) < 1 \
-                or (skip is not None and not 1 <= skip[0] < skip[1] <= n):
-            raise ValueError(f"no network has hidden widths {self.hidden_widths} "
-                             f"with skip_concat {skip}")
-        if self.input_dim < 1:
-            raise ValueError(f"no network takes {self.input_dim} inputs")
-
     @classmethod
     def conflict(cls) -> "NetworkSpec":
         return cls(12, (32,) * 5, skip_concat=(1, 4))
@@ -94,6 +85,10 @@ class NetworkSpec:
         shapes = [(width, self.layer_input_width(layer) + 1)
                   for layer, width in enumerate(self.hidden_widths, start=1)]
         return shapes + [(self.output_dim, self.hidden_widths[-1] + 1)]
+
+
+# the program's two nets by policy role: `load_weights` reads no other
+POLICIES = {"conflict": NetworkSpec.conflict(), "free": NetworkSpec.free()}
 
 
 class QNetwork:
@@ -441,10 +436,11 @@ def _read_net(f) -> QNetwork:
         raise ValueError(f"unsupported format version {version}")
     skip = unpack("<II") if has_skip else None
     input_dim, output_dim, n_hidden = unpack("<III")
-    if output_dim != NetworkSpec.output_dim:
-        raise ValueError(f"a net with {output_dim} outputs; every net has one per "
-                         f"action, {NetworkSpec.output_dim}")
     spec = NetworkSpec(input_dim, unpack(f"<{n_hidden}I"), skip)
+    if output_dim != N_ACTIONS or spec not in POLICIES.values():
+        raise ValueError(f"a net of {input_dim} inputs, hidden widths {spec.hidden_widths}, "
+                         f"skip_concat {skip} and {output_dim} outputs is not a "
+                         f"{' or '.join(POLICIES)} net")
     weights = []
     for shape in spec.weight_shapes():
         found = unpack("<II")
@@ -453,7 +449,7 @@ def _read_net(f) -> QNetwork:
         data = np.frombuffer(read(8 * shape[0] * shape[1]), dtype="<f8")
         if not np.isfinite(data).all():
             raise ValueError(f"non-finite weight in a matrix of shape {shape}")
-        weights.append(data.reshape(shape).copy())
+        weights.append(data.reshape(shape))
     if f.read(1):
         raise ValueError("trailing bytes after the last weight matrix")
     return QNetwork(spec, weights)

@@ -12,8 +12,8 @@ Robots exchange no messages, but decisions read live state, not a frozen
 snapshot: a robot allocated to a multi-visit target takes the next open
 slot of its visit sequence at once (`world.commit`), and holds next to a
 target whose next slot is another's (`world.waits_for`).  That channel is
-the target's `visit_sequence` and its `active_at` time, which
-`world.commit` and `world.try_neutralize` write; `step` drops the
+the target's `visit_sequence` and its `active_at` time, which only `world`
+writes: `commit` and `try_neutralize` take slots, and `expire` drops a
 sequence's uncommitted tail after SEQUENCE_TIMEOUT seconds without either.
 """
 
@@ -35,9 +35,6 @@ from gridswarm.world import ArenaConfig, Robot, Target, WorldState
 COLLISION_RADIUS = 0.5  # meters; node-granular proximity counted as collision
 STAY_DWELL = 0.5  # seconds to hold position after a deliberate stay
 ANCHOR_STALL = 60.0  # seconds of no mission progress before the circuit advances
-SEQUENCE_TIMEOUT = 8.0  # seconds without progress before an ordered visit
-# sequence drops its uncommitted tail (robots named from stale views may
-# never come; the next allocation recommits from fresh positions)
 
 
 @dataclass
@@ -329,10 +326,7 @@ class Mission:
         robots, ctls, dist = world.robots, self.ctl, math.dist
         dt = cfg.kinematics.dt
         now = world.time
-        for tgt in self._multi_visit:
-            if (tgt.live and len(tgt.visit_sequence) > tgt.sequence_progress
-                    and now - tgt.active_at > SEQUENCE_TIMEOUT):
-                tgt.visit_sequence = tgt.visit_sequence[:tgt.sequence_progress]
+        world_mod.expire(self._multi_visit, now)
         # the HALE broadcasts one centroid per step; no robot moves while
         # robots decide, so it also holds for the motion below
         centroid = world_mod.hale_centroid(robots)
@@ -370,9 +364,8 @@ class Mission:
                 ctl.integral = motion.advance(robot, waypoint, gap, ctl.integral,
                                               kp, ki, kin, arena)
                 position = robot.position
-            # a target can die within this pass, so `tgt.live` is tested again
             for tgt in live:
-                if dist(position, tgt.position) <= reach and tgt.live \
+                if dist(position, tgt.position) <= reach \
                         and world_mod.try_neutralize(robot.id, tgt, now + dt):
                     self._progress_at = now
                     if not tgt.live:

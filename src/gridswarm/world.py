@@ -1,16 +1,20 @@
 """Arena, robots, targets and sensing.
 
-All state here is plain data.  Visits mutate it only through
-`try_neutralize`, which the mission engine calls in a single-writer commit
-phase.  The exception is the target-side channel, `Target.visit_sequence`
-and its `active_at` time: `commit` also writes both mid-decision, and
-`sim.Mission.step`'s timeout drops the sequence's tail.
+All state here is plain data, and only this module writes a target.
+Visits go through `try_neutralize`, which the mission engine calls in a
+single-writer commit phase; `commit` writes the target-side channel,
+`Target.visit_sequence` and its `active_at` time, mid-decision; and
+`expire`, called once per mission step, drops a stale sequence's tail.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+
+SEQUENCE_TIMEOUT = 8.0  # seconds without progress before an ordered visit
+# sequence drops its uncommitted tail (robots named from stale views may
+# never come; the next allocation recommits from fresh positions)
 
 
 def reject_non_finite(config) -> None:
@@ -39,8 +43,9 @@ class ArenaConfig:
             raise ValueError("require global_sensor_range > local_sensor_range > 0")
         if self.swarm_bound_radius <= 0:
             raise ValueError("swarm_bound_radius must be positive")
-        if self.neutralize_radius <= 0:
-            raise ValueError("neutralize_radius must be positive")
+        # a robot within reach of a target must be within its sensing range
+        if not (self.global_sensor_range >= self.neutralize_radius > 0):
+            raise ValueError("require global_sensor_range >= neutralize_radius > 0")
 
     def contains(self, point) -> bool:
         x, y = point
@@ -163,3 +168,12 @@ def try_neutralize(robot_id: int, target: Target, now: float) -> bool:
     if target.sequence_progress >= target.required_visits:
         target.live = False
     return True
+
+
+def expire(targets, now: float) -> None:
+    """Drop the uncommitted tail of every live target's visit sequence that
+    has gone more than SEQUENCE_TIMEOUT seconds without a slot or a visit."""
+    for tgt in targets:
+        if (tgt.live and len(tgt.visit_sequence) > tgt.sequence_progress
+                and now - tgt.active_at > SEQUENCE_TIMEOUT):
+            tgt.visit_sequence = tgt.visit_sequence[:tgt.sequence_progress]

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -456,28 +457,31 @@ def test_sweep_pool_never_exceeds_the_runs(tmp_path, policy_files, monkeypatch,
 
 def test_swapped_policy_files_rejected_at_load(tmp_path, policy_files):
     conflict, free = policy_files
-    with pytest.raises(ValueError, match=re.escape(f"{free}: a --policy-conflict net "
-                                                   "takes 12 inputs, this one takes 2")):
+    with pytest.raises(ValueError, match=re.escape(f"{free}: --policy-conflict needs the "
+                                                   "conflict net, this file holds the other one")):
         cli.main(["run", "--out", str(tmp_path), "--policy-conflict", free,
                   "--policy-free", conflict])
 
 
-@pytest.mark.parametrize("case", ["config", "yaml", "directory", "policy"])
+@pytest.mark.parametrize("case", ["config", "yaml", "directory", "policy", "reach"])
 def test_command_line_reports_a_rejected_input_in_one_line(tmp_path, policy_files, case):
     conflict, free = policy_files
     bad = tmp_path / "bad.yaml"
     bad.write_text({"config": "max_time: 1" + "0" * 400 + "\n",
-                    "yaml": "max_time: [1\n"}.get(case, ""))
+                    "yaml": "max_time: [1\n",
+                    "reach": "arena: {neutralize_radius: 1000}\n"}.get(case, ""))
     argv = ["--config", str(bad)]
     if case == "config":
         message = "config max_time must be a number, not 1000"
+    elif case == "reach":
+        message = "require global_sensor_range >= neutralize_radius > 0"
     elif case == "yaml":
         message = f"config {bad} is not valid YAML: while parsing"
     elif case == "directory":
         argv, message = ["--config", str(tmp_path)], "[Errno 21] Is a directory"
     else:
         conflict, free = free, conflict
-        argv, message = [], f"{conflict}: a --policy-conflict net takes 12 inputs"
+        argv, message = [], f"{conflict}: --policy-conflict needs the conflict net"
     out = tmp_path / "out"
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -496,7 +500,7 @@ def test_command_line_reports_a_rejected_input_in_one_line(tmp_path, policy_file
 
 @pytest.mark.parametrize("bad, message", [
     ("nope.qnet", "policy file not found: {bad}"),
-    ("free", "{bad}: a --policy-conflict net takes 12 inputs, this one takes 2"),
+    ("free", "{bad}: --policy-conflict needs the conflict net, this file holds the other one"),
 ], ids=["missing", "swapped"])
 def test_parallel_sweep_names_a_bad_policy_file(tmp_path, policy_files, bad, message):
     # a worker that fails to load a policy would break the pool instead
@@ -513,7 +517,7 @@ def test_parallel_sweep_names_a_bad_policy_file(tmp_path, policy_files, bad, mes
 
 def save_free_net(path, hidden_widths, outputs):
     """A 2-input net whose matrices all agree with `hidden_widths` and `outputs`,
-    written by a stand-in, since no NetworkSpec may describe it."""
+    written by a stand-in, since a NetworkSpec's output width is fixed."""
     spec = SimpleNamespace(input_dim=2, hidden_widths=hidden_widths, skip_concat=None,
                            output_dim=outputs)
     rng = np.random.default_rng(0)
@@ -527,7 +531,9 @@ def test_net_of_the_wrong_output_width_rejected_at_load(tmp_path, policy_files):
     bad = tmp_path / "narrow.qnet"
     save_free_net(bad, (16, 16), 3)
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: a net with 3 outputs")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{bad}: a net of 2 inputs, hidden widths (16, 16), skip_concat None "
+            "and 3 outputs is not a conflict or free net")):
         cli.main(["run", "--out", str(out), "--policy-conflict", policy_files[0],
                   "--policy-free", str(bad)])
     assert not out.exists()
@@ -539,11 +545,53 @@ def test_net_with_an_empty_layer_rejected_at_load(tmp_path, policy_files):
     bad = tmp_path / "hollow.qnet"
     save_free_net(bad, (16, 0), 5)
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: no network has hidden "
-                                                   "widths (16, 0)")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{bad}: a net of 2 inputs, hidden widths (16, 0), skip_concat None "
+            "and 5 outputs is not a conflict or free net")):
         cli.main(["run", "--out", str(out), "--policy-conflict", policy_files[0],
                   "--policy-free", str(bad)])
     assert not out.exists()
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "perfbench" / "policies"
+
+
+@pytest.mark.parametrize("case", ["rewired", "third"])
+def test_a_net_of_neither_architecture_rejected_at_load(tmp_path, capsys, case):
+    bad = tmp_path / f"{case}.qnet"
+    if case == "rewired":
+        # the shipped conflict net with its skip source moved from layer 1
+        # to 2: every hidden width is 32, so no matrix changes shape
+        data = bytearray((SHIPPED / "conflict.qnet").read_bytes())
+        struct.pack_into("<I", data, 9, 2)
+        bad.write_bytes(data)
+        role, other = "conflict", "free"
+    else:
+        save_free_net(bad, (32, 32, 32), 5)  # 2 inputs, as the free net takes
+        role, other = "free", "conflict"
+    message = f"{bad}: a net of "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}.* is not a conflict or free net$"):
+        qnet.load_weights(bad)
+    out = tmp_path / "out"
+    code = cli.script(["run", "--out", str(out), f"--policy-{role}", str(bad),
+                       f"--policy-{other}", str(SHIPPED / f"{other}.qnet")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"gridswarm: error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", ["1.0e300", "1e5", "2.5E3", "1e+5"])
+def test_an_exponent_that_yaml_reads_as_text_gets_a_hint(tmp_path, spelling):
+    p = tmp_path / "c.yaml"
+    p.write_text(f"max_time: {spelling}\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"config max_time must be a number, not '{spelling}' (YAML reads a number "
+            "with an exponent only with a dot and a signed exponent, as in 1.0e+300)")):
+        cli.mission_config_from(cli.load_config(p), seed=0)
+    # the hint's spelling is a float to YAML
+    p.write_text("max_time: 3.0e+2\n")
+    assert cli.mission_config_from(cli.load_config(p), seed=0).max_time == 300.0
 
 
 @pytest.mark.parametrize("verb", ["train-conflict", "train-free"])

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridswarm import cli, qnet
 from gridswarm.qnet import (
@@ -292,7 +292,7 @@ class TestPersistence:
     @staticmethod
     def save_stand_in(path, input_dim, hidden_widths, outputs):
         """A net whose matrices all agree with its widths, written by a
-        stand-in, since no NetworkSpec may describe it."""
+        stand-in, since a NetworkSpec's output width is fixed."""
         spec = SimpleNamespace(input_dim=input_dim, hidden_widths=hidden_widths,
                                skip_concat=None, output_dim=outputs)
         widths = (*hidden_widths, outputs)
@@ -305,13 +305,14 @@ class TestPersistence:
     def test_output_width_must_be_one_per_action(self, tmp_path, width):
         p = tmp_path / "w.qnet"
         self.save_stand_in(p, 2, (16, 16), width)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: a net with {width} "
-                                             "outputs; every net has one per action, 5"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: " + re.escape(
+                f"a net of 2 inputs, hidden widths (16, 16), skip_concat None and "
+                f"{width} outputs is not a conflict or free net")):
             load_weights(p)
 
     @pytest.mark.parametrize("input_dim, hidden, message", [
-        (0, (16, 16), "no network takes 0 inputs"),
-        (2, (16, 0), re.escape("no network has hidden widths (16, 0)")),
+        (0, (16, 16), re.escape("a net of 0 inputs, hidden widths (16, 16)")),
+        (2, (16, 0), re.escape("a net of 2 inputs, hidden widths (16, 0)")),
     ], ids=["no-inputs", "empty-layer"])
     def test_every_layer_needs_a_unit(self, tmp_path, input_dim, hidden, message):
         # a layer of no units would make the output the same for every input
@@ -324,6 +325,36 @@ class TestPersistence:
         assert NetworkSpec.conflict().output_dim == NetworkSpec.free().output_dim == 5
         with pytest.raises(TypeError):
             NetworkSpec(2, (16, 16), None, 3)
+
+
+@pytest.fixture(scope="module")
+def edit_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("edits") / "edited.qnet"
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["conflict.qnet", "free.qnet"]),
+       edit=st.sampled_from(["flip", "cut", "insert"]),
+       at=st.integers(0, 64) | st.integers(0, 1 << 16),
+       byte=st.integers(1, 255))
+@example(name="conflict.qnet", edit="flip", at=9, byte=3)  # skip_concat (1, 4) -> (2, 4)
+def test_a_byte_edit_of_a_shipped_policy_loads_a_policy_or_is_rejected(
+        edit_path, name, edit, at, byte):
+    data = bytearray((POLICIES / name).read_bytes())
+    at %= len(data) + (edit == "insert")
+    if edit == "flip":
+        data[at] ^= byte
+    elif edit == "cut":
+        del data[at:]
+    else:
+        data[at:at] = bytes([byte])
+    edit_path.write_bytes(data)
+    try:
+        net = load_weights(edit_path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{edit_path}: ")
+    else:
+        assert net.spec in qnet.POLICIES.values()
 
 
 class TestReplayAndConfig:

@@ -217,7 +217,7 @@ def reference_step(m):
         if (tgt.live and tgt.required_visits > 1
                 and len(tgt.visit_sequence) > tgt.sequence_progress
                 and m.world.time - m._seq_stamp.get(tgt.id, 0.0)
-                > sim.SEQUENCE_TIMEOUT):
+                > world_mod.SEQUENCE_TIMEOUT):
             tgt.visit_sequence = tgt.visit_sequence[:tgt.sequence_progress]
             m._seq_stamp.pop(tgt.id, None)
     centroid = world_mod.hale_centroid(m.world.robots)
@@ -343,7 +343,7 @@ def test_a_committed_tail_drops_one_step_after_the_timeout(nets):
     m = Mission(cfg, targets_at(((85.0, 85.0), 2)), *nets)  # beyond every robot's view
     tgt = m.world.targets[0]
     assert world_mod.commit(0, tgt, 0.0)
-    m.world.time = sim.SEQUENCE_TIMEOUT
+    m.world.time = world_mod.SEQUENCE_TIMEOUT
     m.step()  # now - active_at == SEQUENCE_TIMEOUT: not yet past it
     assert tgt.visit_sequence == (0,) and tgt.active_at == 0.0
     m.step()

@@ -1,12 +1,16 @@
+import ast
 import dataclasses
 import functools
 import itertools
 import math
 import operator
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gridswarm import world
 from gridswarm.world import (
     ArenaConfig,
     Robot,
@@ -29,9 +33,50 @@ def test_arena_validation():
         ArenaConfig(width=-1)
     with pytest.raises(ValueError):
         ArenaConfig(global_sensor_range=5.0, local_sensor_range=10.0)
+    # a robot within reach of a target must also sense it
+    for radius in (20.5, 1000.0):
+        with pytest.raises(ValueError, match=re.escape(
+                "require global_sensor_range >= neutralize_radius > 0")):
+            ArenaConfig(neutralize_radius=radius)
+    assert ArenaConfig(neutralize_radius=20.0).neutralize_radius == 20.0
     arena = ArenaConfig()
     assert arena.contains((0, 0)) and arena.contains((90, 90))
     assert not arena.contains((90.1, 10))
+
+
+TARGET_FIELDS = {"visit_sequence", "active_at", "sequence_progress", "live", "visited_by"}
+SET_WRITES = {"add", "discard", "remove", "update", "clear", "pop"}
+
+
+def _assigned(target):
+    """The expressions an assignment target binds, through tuple unpacking."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned(target.value)
+    else:
+        yield target
+
+
+def test_only_world_writes_a_target():
+    writes = []
+    for path in sorted(Path(world.__file__).parent.glob("*.py")):
+        if path.name == "world.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                written = [t for target in node.targets for t in _assigned(target)]
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                written = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in SET_WRITES:
+                written = [node.func.value]
+            else:
+                continue
+            writes += [f"{path.name}:{node.lineno} {t.attr}" for t in written
+                       if isinstance(t, ast.Attribute) and t.attr in TARGET_FIELDS]
+    assert writes == []
 
 
 def test_target_kind():
