@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gridswarm import cli, context_grid as cg, sim
 from gridswarm.context_grid import (
     CLAMP_FRACTION,
     ContextGrid,
@@ -13,6 +15,7 @@ from gridswarm.context_grid import (
     node_coords,
     pick_search_node,
 )
+from gridswarm.qnet import load_weights
 from gridswarm.scenario import ACTION_DELTAS, STAY, action_mask_grid
 from gridswarm.world import ArenaConfig
 
@@ -206,32 +209,38 @@ def assert_free(g, centroid, rows, cols, d, arena):
         for n in all_nodes(rows, cols) if not mask[n]]
 
 
+def gap_line(lines, k, n, d):
+    """Line k's n - 1 gaps: uniform until a node on it first moves."""
+    return lines.get(k, [float(d)] * (n - 1))
+
+
 def reference_offset(grid, node, dx, dy):
     """Shift one node by (dx, dy) via its adjacent gaps, one block per axis;
-    True if exact."""
+    True if exact.  A line gets its own gap list when one of its nodes moves."""
     r, c = node
-    lim = CLAMP_FRACTION * grid.base_spacing
+    d = grid.base_spacing
+    lim = CLAMP_FRACTION * d
     exact = True
     if c == 0:
         exact = exact and abs(dx) < 1e-9
-        dx = 0.0
     else:
         if abs(dx) > lim:
             dx = math.copysign(lim, dx)
             exact = False
-        grid.d_x[r][c - 1] += dx
-    if 0 < c < grid.cols - 1:
-        grid.d_x[r][c] -= dx
+        row = grid.d_x[r] = gap_line(grid.d_x, r, grid.cols, d)
+        row[c - 1] += dx
+        if c < grid.cols - 1:
+            row[c] -= dx
     if r == 0:
         exact = exact and abs(dy) < 1e-9
-        dy = 0.0
     else:
         if abs(dy) > lim:
             dy = math.copysign(lim, dy)
             exact = False
-        grid.d_y[c][r - 1] += dy
-    if 0 < r < grid.rows - 1:
-        grid.d_y[c][r] -= dy
+        col = grid.d_y[c] = gap_line(grid.d_y, c, grid.rows, d)
+        col[r - 1] += dy
+        if r < grid.rows - 1:
+            col[r] -= dy
     return exact
 
 
@@ -287,22 +296,23 @@ def test_build_grid_matches_reference(case):
     centroid, rows, cols, d, _ = case
     g = build_grid(centroid, rows, cols, d, ARENA)
     assert_free(g, centroid, rows, cols, d, ARENA)
-    assert g.origin == reference_uniform(centroid, rows, cols, d, (0, 0))
-    assert g.d_x == [[d] * (cols - 1)] * rows
-    assert g.d_y == [[d] * (rows - 1)] * cols
+    assert (g.xs[0], g.ys[0]) == reference_uniform(centroid, rows, cols, d, (0, 0))
+    assert g.xs == [reference_uniform(centroid, rows, cols, d, (0, c))[0] for c in range(cols)]
+    assert g.ys == [reference_uniform(centroid, rows, cols, d, (r, 0))[1] for r in range(rows)]
+    assert g.d_x == {} and g.d_y == {}  # so every line reads `uniform`
+    assert g.uniform == (d,) * (max(rows, cols) - 1)
 
 
 def bits(gaps):
-    """Every gap as its exact bits, so -0.0 and 0.0 differ."""
-    return [[g.hex() for g in row] for row in gaps]
+    """Every gap of every line that has its own list, as its exact bits, so
+    -0.0 and 0.0 differ."""
+    return {k: [g.hex() for g in line] for k, line in gaps.items()}
 
 
-@settings(max_examples=200, deadline=None)
-@given(grids_and_objects())
-def test_deform_matches_full_sort_reference(case):
-    centroid, rows, cols, d, objects = case
-    got = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
-    want = build_grid(centroid, rows, cols, d, ARENA)
+def assert_deform_matches_reference(centroid, rows, cols, d, arena, objects):
+    """deform binds, moves and clamps exactly as the full-sort reference."""
+    got = deform(build_grid(centroid, rows, cols, d, arena), objects)
+    want = build_grid(centroid, rows, cols, d, arena)
     reference_deform(want, objects, centroid, rows, cols, d)
     assert got.bindings == want.bindings
     assert list(got.free.items()) == list(want.free.items())
@@ -310,6 +320,13 @@ def test_deform_matches_full_sort_reference(case):
     assert got.clamped == want.clamped
     assert bits(got.d_x) == bits(want.d_x)
     assert bits(got.d_y) == bits(want.d_y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_objects())
+def test_deform_matches_full_sort_reference(case):
+    centroid, rows, cols, d, objects = case
+    assert_deform_matches_reference(centroid, rows, cols, d, ARENA, objects)
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,8 +363,8 @@ def test_node_coords_matches_np_sum(case):
     g = deform(build_grid(centroid, rows, cols, d, ARENA), objects)
     x0, y0 = reference_uniform(centroid, rows, cols, d, (0, 0))
     for r, c in all_nodes(rows, cols):
-        x = x0 + float(np.sum(g.d_x[r][:c]))
-        y = y0 + float(np.sum(g.d_y[c][:r]))
+        x = x0 + float(np.sum(gap_line(g.d_x, r, cols, d)[:c]))
+        y = y0 + float(np.sum(gap_line(g.d_y, c, rows, d)[:r]))
         assert node_coords(g, (r, c)) == (x, y)
 
 
@@ -383,3 +400,107 @@ def test_build_grid_tests_nodes_on_the_bound_per_grid(d, x0):
         assert_free(g, centroid, 7, 7, d, arena)
         verdicts.add((3, 6) in g.free)  # the east axis node
     assert verdicts == {True, False}
+
+
+# -- the cell-first bind: objects placed by the lattice, and mission traffic --
+
+WIDE = ArenaConfig(width=300.0, height=90.0)  # the bound test's arena: bound 45 m
+# 15 m, and the bound test's two spacings, on which nodes sit within rounding
+# of the bound and no distance is a round number
+SPACINGS = [(15.0, ARENA), (BOUND / 3, WIDE), (math.nextafter(BOUND / 3, math.inf), WIDE)]
+
+
+@st.composite
+def lattice_objects(draw):
+    """A grid, and objects on its nodes, edge midpoints and cell centres (2-
+    and 4-way ties), on its lines, and past its edges on every side; points
+    repeat, so later objects find the nodes of their cell bound."""
+    d, arena = draw(st.sampled_from(SPACINGS))
+    rows, cols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    centroid = (draw(metres(0.0, arena.width)), draw(metres(0.0, arena.height)))
+
+    def coord(centre, n):
+        # near the centroid, or anywhere up to three lines past the edges
+        i = draw(st.one_of(st.integers(n // 2 - 1, n // 2 + 1), st.integers(-3, n + 2)))
+        line = centre + (i - n // 2) * d  # as build_grid puts it
+        step = draw(st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, None]))
+        if step is None:
+            step = draw(st.floats(-1.0, 1.0))
+        return line + step * d
+
+    points = [(coord(centroid[0], cols), coord(centroid[1], rows))
+              for _ in range(draw(st.integers(1, 8)))]
+    picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=10))
+    kinds = ("self", "target", "robot")
+    objects = [(kinds[i % 3], i, points[p]) for i, p in enumerate(picks)]
+    return centroid, rows, cols, d, arena, objects
+
+
+def stacked(*points, times=4):
+    """Objects `times` deep on each point, in turn."""
+    kinds = ("self", "target", "robot")
+    return [(kinds[i % 3], i, p) for i, p in enumerate(points * times)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_objects())
+# on a node, an edge midpoint and a cell centre, then on lines past each edge
+@example(((45.0, 45.0), 5, 5, 15.0, ARENA, stacked((45.0, 45.0), (52.5, 45.0), (52.5, 52.5))))
+@example(((45.0, 45.0), 5, 5, 15.0, ARENA, stacked((45.0, 5.0), (45.0, 85.0), (5.0, 45.0),
+                                                     (85.0, 45.0), (10.0, 10.0))))
+def test_deform_matches_reference_on_the_lattice(case):
+    assert_deform_matches_reference(*case)
+
+
+@pytest.mark.parametrize("pos, node", [
+    ((47.0, 44.0), (2, 2)), ((58.0, 44.0), (2, 3)), ((47.0, 58.0), (3, 2)), ((58.0, 58.0), (3, 3)),
+])
+def test_deform_measures_only_the_cell_when_it_decides(monkeypatch, pos, node):
+    """An object nearer a node of its cell than any line past the cell is
+    bound after four distances, without a scan of all of `free`."""
+    calls = []
+    dist = math.dist
+    monkeypatch.setattr(math, "dist", lambda p, q: calls.append(q) or dist(p, q))
+    g = deform(fresh(), [("target", 0, pos)])
+    assert g.node_of[("target", 0)] == node
+    assert len(calls) == 4
+
+
+def test_deform_tie_past_the_cell_goes_to_the_smallest_node():
+    """The second object on a node ties four nodes at one spacing; the
+    first of them row-major lies outside its cell, on the line past it."""
+    g = deform(fresh(), [("self", 0, (45.0, 45.0)), ("target", 1, (45.0, 45.0))])
+    assert g.node_of[("target", 1)] == (1, 2)
+
+
+POLICIES = Path(__file__).resolve().parents[1] / "perfbench" / "policies"
+CROWDED = {"robots": 9, "targets": {"kind": "clustered", "mrt_fraction": 0.6}}
+
+
+@pytest.mark.parametrize("overrides, index", [({}, 0), ({}, 1), (CROWDED, 0)],
+                         ids=["default-0", "default-1", "crowded-0"])
+def test_mission_grids_match_the_references(monkeypatch, overrides, index):
+    """Every grid that a seed-3 mission of perfbench's default or crowded
+    workload builds and binds (under the shipped 300 s cap), against the
+    per-node and full-sort references."""
+    cfg = cli.load_config(None)
+    cfg["robots"] = overrides.get("robots", cfg["robots"])
+    cfg["targets"].update(overrides.get("targets", {}))
+    child = cli.splitmix64(3, index)
+    targets = cli.generate_scenario(cli.distribution_from(cfg), ArenaConfig(**cfg["arena"]),
+                                    np.random.default_rng(cli.splitmix64(child, 0)))
+    mission = sim.Mission(cli.mission_config_from(cfg, cli.splitmix64(child, 1)), targets,
+                          load_weights(POLICIES / "conflict.qnet"),
+                          load_weights(POLICIES / "free.qnet"))
+    calls = []
+    build, bind = cg.build_grid, cg.bind_snapshot
+    monkeypatch.setattr(cg, "build_grid", lambda *a: calls.append(a) or build(*a))
+    monkeypatch.setattr(cg, "bind_snapshot", lambda grid, self_id, self_pos, tgts, nbrs: (
+        calls.append([("self", self_id, self_pos), *(("target", i, p) for i, p in tgts),
+                      *(("robot", i, p) for i, p in nbrs)])
+        or bind(grid, self_id, self_pos, tgts, nbrs)))
+    mission.run()
+    assert len(calls) > 100
+    for (centroid, rows, cols, d, arena), objects in zip(calls[::2], calls[1::2], strict=True):
+        assert_free(build_grid(centroid, rows, cols, d, arena), centroid, rows, cols, d, arena)
+        assert_deform_matches_reference(centroid, rows, cols, d, arena, objects)

@@ -150,6 +150,19 @@ def test_mrt_requires_two_distinct_robots(nets):
         assert len(tgt.visited_by) == 2
 
 
+def test_a_colliding_pair_counts_again_only_after_it_separates(nets):
+    """A pair counts one collision per approach: it re-arms only once it is
+    more than 2 x COLLISION_RADIUS apart."""
+    m = Mission(MissionConfig(n_robots=2), targets_at(((80.0, 80.0), 1)), *nets)
+    a, b = m.world.robots
+    counts = []
+    for gap in (0.4, 0.8, 0.4, 1.2, 0.4):
+        a.position, b.position = (40.0, 40.0), (40.0 + gap, 40.0)
+        m._count_collisions()
+        counts.append(m.collisions)
+    assert counts == [1, 1, 1, 1, 2]
+
+
 def test_trajectory_rows_shape(nets):
     cfg = MissionConfig(n_robots=3, max_time=2.0, seed=0, log_trajectory=True)
     res = run_mission(cfg, targets_at(((80.0, 80.0), 1)), *nets)

@@ -34,7 +34,7 @@ def test_arena_validation():
     with pytest.raises(ValueError):
         ArenaConfig(global_sensor_range=5.0, local_sensor_range=10.0)
     # a robot within reach of a target must also sense it
-    for radius in (20.5, 1000.0):
+    for radius in (20.5, 1000.0, 0.0, -0.0, -1.0):
         with pytest.raises(ValueError, match=re.escape(
                 "require global_sensor_range >= neutralize_radius > 0")):
             ArenaConfig(neutralize_radius=radius)
