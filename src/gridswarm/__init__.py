@@ -7,13 +7,13 @@ of two small Q-networks depending on whether another robot is nearby.
 """
 
 from gridswarm.world import ArenaConfig, Robot, Target
-from gridswarm.sim import MissionConfig, MissionResult, run_mission
+from gridswarm.sim import Mission, MissionConfig, MissionResult
 
 __all__ = [
     "ArenaConfig",
     "Robot",
     "Target",
+    "Mission",
     "MissionConfig",
     "MissionResult",
-    "run_mission",
 ]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gridswarm import qnet
+from gridswarm import qnet, scenario
 from gridswarm.motion import KinematicParams, PIState
 from gridswarm.sim import MissionConfig, Mission
 from gridswarm.world import ArenaConfig, Target, reject_non_finite
@@ -193,7 +193,7 @@ def _block(cls, cfg: dict, block: str):
     return cls(**kw)
 
 
-def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionConfig:
+def mission_config_from(cfg: dict, seed: int) -> MissionConfig:
     grid = cfg["grid"]
     if not isinstance(grid, list) or len(grid) != 2:
         raise ValueError(f"config grid must be a list [rows, cols], not {grid!r}")
@@ -210,7 +210,6 @@ def mission_config_from(cfg: dict, seed: int, log_trajectory=False) -> MissionCo
         max_time=_real(cfg["max_time"], "max_time"),
         seed=seed,
         spawn_box=tuple(_real(v, f"spawn_box[{i}]") for i, v in enumerate(box)),
-        log_trajectory=log_trajectory,
     )
 
 
@@ -244,11 +243,10 @@ def _apply_axis(cfg: dict, axis: str, value):
     return cfg
 
 
-def build_mission(cfg: dict, child_seed: int, conflict_net, free_net,
-                  log_trajectory=False) -> Mission:
+def build_mission(cfg: dict, child_seed: int, conflict_net, free_net) -> Mission:
     """One seeded mission: scenario from one child stream, sim from another."""
     scen_rng = np.random.default_rng(splitmix64(child_seed, 0))
-    mconfig = mission_config_from(cfg, splitmix64(child_seed, 1), log_trajectory)
+    mconfig = mission_config_from(cfg, splitmix64(child_seed, 1))
     targets = generate_scenario(distribution_from(cfg), mconfig.arena, scen_rng)
     return Mission(mconfig, targets, conflict_net, free_net)
 
@@ -334,12 +332,19 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
     return {"rows": rows, "summary": summary}
 
 
-def write_trajectory(result, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "robot_id", "x", "y", "heading", "scenario", "action",
-                    "assigned_target"])
-        w.writerows(result.trajectory or [])
+def record_trajectory(mission: Mission):
+    """Run `mission` to its end; return the table of `trajectory.csv`, header
+    first, then one row per robot after each step, and the mission's result."""
+    rows = [("t", "robot_id", "x", "y", "heading", "scenario", "action",
+             "assigned_target")]
+    while mission.running:
+        t = round(mission.world.time, 6)  # the time the step starts at
+        mission.step()
+        for robot in mission.world.robots:
+            ctl = mission.ctl[robot.id]
+            rows.append((t, robot.id, *robot.position, robot.heading, ctl.label,
+                         scenario.ACTIONS[ctl.action], ctl.assigned))
+    return rows, mission.run()  # no step left: run only builds the result
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +407,12 @@ def cmd_run(args):
     conflict_net = _load_policy(args.policy_conflict, "conflict")
     free_net = _load_policy(args.policy_free, "free")
     # a rejected config or policy leaves no output directory behind
-    mission = build_mission(cfg, splitmix64(args.seed, 0), conflict_net, free_net,
-                            log_trajectory=True)
+    mission = build_mission(cfg, splitmix64(args.seed, 0), conflict_net, free_net)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = mission.run()
-    write_trajectory(result, out / "trajectory.csv")
+    rows, result = record_trajectory(mission)
+    with open(out / "trajectory.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
     summary = json.dumps(result.summary(), indent=2, sort_keys=True)
     (out / "summary.json").write_text(summary)
     print(summary)

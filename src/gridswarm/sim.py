@@ -15,6 +15,9 @@ target whose next slot is another's (`world.waits_for`).  That channel is
 the target's `visit_sequence` and its `active_at` time, which only `world`
 writes: `commit` and `try_neutralize` take slots, and `expire` drops a
 sequence's uncommitted tail after SEQUENCE_TIMEOUT seconds without either.
+
+The engine records nothing: a caller reads the robots and their `ctl`
+after each `step`, as `cli.record_trajectory` does for `gridswarm run`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ class MissionConfig:
     max_time: float = 300.0
     seed: int = 0
     spawn_box: tuple = (0.0, 0.0, 20.0, 20.0)
-    log_trajectory: bool = False
 
     def __post_init__(self):
         world_mod.reject_non_finite(self)
@@ -81,7 +83,6 @@ class MissionResult:
     target_times: dict  # target_id -> neutralization completion time
     collisions: int
     success: bool
-    trajectory: list | None = None
 
     def summary(self) -> dict:
         return {
@@ -141,7 +142,6 @@ class Mission:
         self.target_times: dict = {}
         self.collisions = 0
         self._colliding_pairs: set = set()
-        self.trajectory: list = [] if config.log_trajectory else None
         self.arrival = 0.5 * self.arena.neutralize_radius
         # Deterministic coverage circuit: every robot can derive the same
         # anchor sequence from the arena geometry and the shared centroid,
@@ -376,14 +376,6 @@ class Mission:
             self.live_targets = [t for t in live if t.live]
 
         self._count_collisions()
-        if self.trajectory is not None:
-            for robot in robots:
-                ctl = ctls[robot.id]
-                self.trajectory.append((
-                    round(now, 6), robot.id, robot.position[0],
-                    robot.position[1], robot.heading, ctl.label,
-                    scenario.ACTIONS[ctl.action], ctl.assigned,
-                ))
         world.time = now + dt
 
     def _count_collisions(self):
@@ -397,8 +389,14 @@ class Mission:
             elif d > 2.0 * COLLISION_RADIUS and pairs:
                 pairs.discard((ra.id, rb.id))
 
+    @property
+    def running(self) -> bool:
+        """Whether the mission goes on: time is left and a target is live."""
+        return self.world.time < self.config.max_time and bool(self.live_targets)
+
     def run(self) -> MissionResult:
-        while self.world.time < self.config.max_time and self.live_targets:
+        """Step until the mission ends; deterministic in (config, targets, seed)."""
+        while self.running:
             self.step()
         success = not self.live_targets
         total = self.world.time if success else self.config.max_time
@@ -410,11 +408,4 @@ class Mission:
             target_times=dict(self.target_times),
             collisions=self.collisions,
             success=success,
-            trajectory=self.trajectory,
         )
-
-
-def run_mission(config: MissionConfig, targets, conflict_net: QNetwork,
-                free_net: QNetwork) -> MissionResult:
-    """Run one full mission; deterministic in (config, targets, seed)."""
-    return Mission(config, targets, conflict_net, free_net).run()

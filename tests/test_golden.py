@@ -7,6 +7,7 @@ RNG draw order moves them and has to say so.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,12 @@ TRAIN_VERB_DIGESTS = {
 }
 # stdout of `gridswarm defaults`, the YAML tree every config file overrides
 DEFAULTS_DIGEST = "fced0b8e8c024e4534f14d7f389a41ec5f9e6ddd1d9bd02051c7d33878b67116"
+# the trained policies the benchmark runs, as perfbench/README.md states them
+POLICIES = Path(__file__).resolve().parents[1] / "perfbench" / "policies"
+POLICY_DIGESTS = {
+    "conflict.qnet": "6c6ba2a9ff115abdfb8dde84815ad173b7d0b92a20b39c97e4fc6075bc903374",
+    "free.qnet": "5d72fdd632becbe90e211b94320092a46f663c17be0babf5baa8bfeb729b7f7d",
+}
 
 
 def sha256(path) -> str:
@@ -83,6 +90,10 @@ def golden_inputs(tmp_path_factory):
 def test_defaults_digest(capsys):
     cli.main(["defaults"])
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEFAULTS_DIGEST
+
+
+def test_benchmark_policy_digests():
+    assert {name: sha256(POLICIES / name) for name in POLICY_DIGESTS} == POLICY_DIGESTS
 
 
 def test_sweep_digests(golden_inputs):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridswarm import cli, motion, scenario, sim, world as world_mod
+from gridswarm import cli, motion, sim, world as world_mod
 from gridswarm.cli import DistributionSpec
 from gridswarm.motion import KinematicParams, PIState
 from gridswarm.qnet import NetworkSpec, QNetwork, TrainerConfig, load_weights
-from gridswarm.sim import Mission, MissionConfig, run_mission
+from gridswarm.sim import Mission, MissionConfig
 from gridswarm.world import ArenaConfig, Target
 
 POLICIES = Path(__file__).resolve().parents[1] / "perfbench" / "policies"
@@ -86,39 +86,41 @@ def test_spawn_inside_box(nets):
 
 def test_mission_time_limit(nets):
     cfg = MissionConfig(n_robots=2, max_time=5.0, seed=0)
-    res = run_mission(cfg, targets_at(((85.0, 85.0), 1)), *nets)
+    res = Mission(cfg, targets_at(((85.0, 85.0), 1)), *nets).run()
     assert not res.success
     assert res.total_time == pytest.approx(5.0)
 
 
 def test_no_targets_is_immediate_success(nets):
     cfg = MissionConfig(n_robots=2, max_time=5.0, seed=0)
-    res = run_mission(cfg, [], *nets)
+    res = Mission(cfg, [], *nets).run()
     assert res.success and res.total_time == 0.0
 
 
 def test_neutralization_near_spawn(nets):
     # a single-visit target right in the spawn box falls quickly
     cfg = MissionConfig(n_robots=6, max_time=120.0, seed=1)
-    res = run_mission(cfg, targets_at(((10.0, 10.0), 1)), *nets)
+    res = Mission(cfg, targets_at(((10.0, 10.0), 1)), *nets).run()
     assert res.success
     assert res.target_times[0] <= res.total_time
 
 
 def test_mission_deterministic(nets):
     tgts = targets_at(((12.0, 8.0), 1), ((30.0, 25.0), 1))
-    cfg = MissionConfig(n_robots=4, max_time=60.0, seed=5, log_trajectory=True)
-    r1 = run_mission(cfg, tgts, *nets)
-    r2 = run_mission(cfg, tgts, *nets)
+    cfg = MissionConfig(n_robots=4, max_time=60.0, seed=5)
+    rows1, r1 = cli.record_trajectory(Mission(cfg, tgts, *nets))
+    rows2, r2 = cli.record_trajectory(Mission(cfg, tgts, *nets))
     assert r1.summary() == r2.summary()
-    assert r1.trajectory == r2.trajectory
+    assert rows1 == rows2
 
 
 def test_seed_changes_outcome(nets):
     tgts = targets_at(((12.0, 8.0), 1))
-    a = run_mission(MissionConfig(n_robots=4, max_time=30.0, seed=1, log_trajectory=True), tgts, *nets)
-    b = run_mission(MissionConfig(n_robots=4, max_time=30.0, seed=2, log_trajectory=True), tgts, *nets)
-    assert a.trajectory != b.trajectory
+    a, _ = cli.record_trajectory(Mission(MissionConfig(n_robots=4, max_time=30.0, seed=1),
+                                         tgts, *nets))
+    b, _ = cli.record_trajectory(Mission(MissionConfig(n_robots=4, max_time=30.0, seed=2),
+                                         tgts, *nets))
+    assert a != b
 
 
 def test_mission_runs_on_its_own_copy_of_the_targets(nets):
@@ -129,16 +131,16 @@ def test_mission_runs_on_its_own_copy_of_the_targets(nets):
             Target(1, (10.0, 10.0), 1),
             Target(2, (70.0, 60.0), 2)]
     before = copy.deepcopy(tgts)
-    cfg = MissionConfig(n_robots=6, max_time=120.0, seed=1, log_trajectory=True)
+    cfg = MissionConfig(n_robots=6, max_time=120.0, seed=1)
     m = Mission(cfg, tgts, *nets)
-    res = m.run()
+    rows, res = cli.record_trajectory(m)
     assert tgts == before
     assert m.world.targets != before  # the run did change its own targets
     for mine, theirs in zip(m.world.targets, tgts):
         assert mine is not theirs and mine.visited_by is not theirs.visited_by
-    ref = Mission(cfg, copy.deepcopy(tgts), *nets).run()
+    ref_rows, ref = cli.record_trajectory(Mission(cfg, copy.deepcopy(tgts), *nets))
     assert res.summary() == ref.summary()
-    assert res.trajectory == ref.trajectory
+    assert rows == ref_rows
 
 
 def test_mrt_requires_two_distinct_robots(nets):
@@ -163,21 +165,35 @@ def test_a_colliding_pair_counts_again_only_after_it_separates(nets):
     assert counts == [1, 1, 1, 1, 2]
 
 
+def test_the_coverage_circuit_starts_at_anchor_0(nets):
+    # a swarm spawned far from anchor 0, with its one target out of view,
+    # neither reaches the anchor nor stalls within five steps
+    cfg = MissionConfig(spawn_box=(60.0, 60.0, 20.0, 20.0))
+    m = Mission(cfg, targets_at(((5.0, 85.0), 1)), *nets)
+    for _ in range(5):
+        m.step()
+        assert m.sweep_idx == 0
+
+
 def test_trajectory_rows_shape(nets):
-    cfg = MissionConfig(n_robots=3, max_time=2.0, seed=0, log_trajectory=True)
-    res = run_mission(cfg, targets_at(((80.0, 80.0), 1)), *nets)
-    assert res.trajectory
-    row = res.trajectory[0]
+    cfg = MissionConfig(n_robots=3, max_time=2.0, seed=0)
+    mission = Mission(cfg, targets_at(((80.0, 80.0), 1)), *nets)
+    header, *rows = cli.record_trajectory(mission)[0]
+    assert len(header) == 8
+    assert rows
+    row = rows[0]
     assert len(row) == 8
-    ids = {r[1] for r in res.trajectory}
+    ids = {r[1] for r in rows}
     assert ids == {0, 1, 2}
 
 
 def test_robots_stay_in_arena(nets):
-    cfg = MissionConfig(n_robots=6, max_time=30.0, seed=4, log_trajectory=True)
-    res = run_mission(cfg, targets_at(((88.0, 88.0), 1)), *nets)
+    cfg = MissionConfig(n_robots=6, max_time=30.0, seed=4)
+    mission = Mission(cfg, targets_at(((88.0, 88.0), 1)), *nets)
+    _header, *rows = cli.record_trajectory(mission)[0]
     arena = ArenaConfig()
-    for row in res.trajectory:
+    assert rows
+    for row in rows:
         assert 0.0 <= row[2] <= arena.width
         assert 0.0 <= row[3] <= arena.height
 
@@ -203,7 +219,7 @@ def small_missions(draw):
 def test_mission_invariants_hold_after_every_step(nets, case):
     cfg, targets = case
     m = Mission(cfg, targets, *nets)
-    while m.world.time < cfg.max_time and any(t.live for t in m.world.targets):
+    while m.running:
         m.step()
         for r in m.world.robots:
             assert SMALL_ARENA.contains(r.position)
@@ -289,14 +305,6 @@ def reference_step(m):
                     m.collisions += 1
             elif d > 2.0 * sim.COLLISION_RADIUS and m._colliding_pairs:
                 m._colliding_pairs.discard((a, b))
-    if m.trajectory is not None:
-        for robot in m.world.robots:
-            ctl = m.ctl[robot.id]
-            m.trajectory.append((
-                round(m.world.time, 6), robot.id, robot.position[0],
-                robot.position[1], robot.heading, ctl.label,
-                scenario.ACTIONS[ctl.action], ctl.assigned,
-            ))
     m.world.time += dt
 
 
@@ -304,7 +312,8 @@ def _state(m):
     """Everything a step writes, as a string: float reprs round-trip, so
     equal strings mean equal bits."""
     return repr((
-        [(r.id, r.position, r.heading, m.ctl[r.id].integral) for r in m.world.robots],
+        [(r.id, r.position, r.heading, m.ctl[r.id].integral, m.ctl[r.id].label,
+          m.ctl[r.id].action, m.ctl[r.id].assigned) for r in m.world.robots],
         [(t.id, t.position, t.required_visits, t.sequence_progress, t.live,
           t.visit_sequence, sorted(t.visited_by), t.active_at) for t in m.world.targets],
         sorted(m.target_times.items()), m.collisions, m.world.time, m.sweep_idx,
@@ -319,14 +328,13 @@ def assert_steps_like_the_reference(make):
     # target id, and the circuit's approach and visit clocks
     twin._seq_stamp, twin._sweep_since, twin._last_visit = {}, 0.0, 0.0
     steps = timeouts = 0
-    while m.world.time < m.config.max_time and any(t.live for t in m.world.targets):
+    while m.running:
         held = [len(t.visit_sequence) for t in m.world.targets]
         m.step()
         reference_step(twin)
         steps += 1
         assert _state(m) == _state(twin), f"step {steps}"
         assert m._progress_at == max(twin._sweep_since, twin._last_visit), f"step {steps}"
-        assert m.trajectory == twin.trajectory
         timeouts += any(len(t.visit_sequence) < n for t, n in zip(m.world.targets, held))
     assert not (twin.world.time < twin.config.max_time
                 and any(t.live for t in twin.world.targets))
@@ -347,7 +355,7 @@ def test_default_missions_step_like_the_three_pass_reference(seed):
     policies = (load_weights(POLICIES / "conflict.qnet"), load_weights(POLICIES / "free.qnet"))
     cfg = cli.load_config(None)
     m, timeouts = assert_steps_like_the_reference(
-        lambda: cli.build_mission(cfg, seed, *policies, log_trajectory=True))
+        lambda: cli.build_mission(cfg, seed, *policies))
     assert not m.live_targets and m.collisions and timeouts
 
 
