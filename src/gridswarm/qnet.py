@@ -12,12 +12,10 @@ checked against finite differences.
 Each net keeps its weights and its DQN target copy of them in the two rows
 of one buffer, and its gradients in a flat buffer of the row's layout, each
 seen as a tuple of per-layer views.  The target row changes only at
-`sync_target`.  The gradient buffer comes with the first `backward`, so a
-loaded policy that only acts holds none.  One workspace of preallocated
-buffers per batch size serves every pass: `forward_cached` runs the weights
-alone, and `forward_pair` runs the weights and the target row as one
-stacked pass, which `td_loss` uses.  What a caller gets back lives as
-follows:
+`sync_target`.  One workspace of preallocated buffers per batch size serves
+every pass: `forward_cached` runs the weights alone, and `forward_pair` runs
+the weights and the target row as one stacked pass, which `td_loss` uses.
+What a caller gets back lives as follows:
 
 - q from `forward_cached` (and `forward`), and q and the target's q from
   `forward_pair`, are fresh column-major arrays;
@@ -97,10 +95,9 @@ class QNetwork:
     Every weight matrix is a view into row 0 of one (2, n) float64 buffer,
     in the order of `spec.weight_shapes()`; row 1, of the same layout, holds
     the target net's weights, and every gradient is a view of that layout
-    into a flat buffer of its own, allocated at the first `backward`, so an
-    SGD step and a target sync are a call or two each.  `weights` is a
-    read-only tuple of the row-0 views, so neither it nor an entry can be
-    rebound: write into an entry in place.
+    into a flat buffer of its own, so an SGD step and a target sync are a
+    call or two each.  `weights` is a read-only tuple of the row-0 views, so
+    neither it nor an entry can be rebound: write into an entry in place.
 
     The buffer lifetimes are in the module docstring.
     """
@@ -113,7 +110,8 @@ class QNetwork:
         self.spec = spec
         self._rows = np.empty((2, sum(rows * cols for rows, cols in shapes)))
         self._flat, self._target = self._rows
-        self._grad_flat = self._grads = None  # allocated at the first backward
+        self._grad_flat = np.zeros(self._flat.shape)
+        self._grads = _split(self._grad_flat, shapes)
         self._weights = _split(self._flat, shapes)
         for view, w in zip(self._weights, weights):
             view[...] = w
@@ -199,11 +197,6 @@ class QNetwork:
         work = self._work.get(q.shape[0])
         if work is None or hs is not work.inputs:
             raise ValueError("hs must be the layer inputs of this net's last pass")
-        if work.back is None:  # the first backward at this batch size
-            if self._grads is None:
-                self._grad_flat = np.zeros_like(self._flat)
-                self._grads = _split(self._grad_flat, self.spec.weight_shapes())
-            work.plan_backward(self)
         delta = work.delta_out
         # flat index of each (b, a_b); an action outside the row raises
         taken = np.ravel_multi_index((work.rows, actions), q.shape)
@@ -290,8 +283,7 @@ class _Workspace:
     input buffer or None on layer 1).  dL/dh is the leading columns of the
     next layer's dL/d input (the output layer's, on the last hidden layer);
     on the skip source the concatenation layer's tail columns are added
-    into it in place.  `plan_backward` allocates these buffers at the net's
-    first backward at this batch size, so a net that only acts holds none.
+    into it in place.
     """
 
     def __init__(self, net: QNetwork, batch: int):
@@ -314,14 +306,7 @@ class _Workspace:
         self.single = ([tuple(v if v is None else v[0] for v in layer) for layer in layers],
                        *(v[0] for v in self.pair[1:]))
         self.inputs = [x[0] for x in inputs]
-        self.back = None  # planned at the net's first backward at this batch size
-
-    def plan_backward(self, net: QNetwork):
-        spec = net.spec
-        widths = spec.hidden_widths
         n = len(widths)
-        skip = spec.skip_concat
-        batch = len(self.inputs[0])
         self.rows = np.arange(batch)
         self.cqa_col = np.empty((batch, 1))  # coeff[b] * q[b, a_b]
         self.cqa = self.cqa_col[:, 0]
@@ -338,7 +323,7 @@ class _Workspace:
                        if skip is not None and k == skip[0] else None)
             deriv = None if spec.is_linear(k) else np.empty((batch, w))
             d = dh if deriv is None else deriv
-            act = self.pair[0][k - 1][2]  # the contiguous activations, or None
+            act = layers[k - 1][2]  # the contiguous activations, or None
             self.back.append((dh, skip_dh, None if act is None else act[0], deriv, d, d.T,
                               self.inputs[k - 1], net._grads[k - 1], net._unbiased[k - 1],
                               dinps.get(k)))

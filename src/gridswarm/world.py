@@ -61,7 +61,11 @@ class Robot:
 
 @dataclass
 class Target:
-    """A target that needs `required_visits` in-order robot visits to die."""
+    """A target that needs `required_visits` in-order robot visits to die.
+
+    Its progress counts its visitors, who lead its visit sequence when it
+    needs several visits, and it is live until every visit is made.
+    """
 
     id: int
     position: tuple
@@ -74,7 +78,13 @@ class Target:
 
     def __post_init__(self):
         if self.required_visits < 1:
-            raise ValueError("a target needs at least one visit")
+            raise ValueError(f"target {self.id} needs at least one visit")
+        k, n = self.sequence_progress, self.required_visits
+        if not (k <= n and len(self.visited_by) == k and self.live == (k < n)
+                and (n == 1 or set(self.visit_sequence[:k]) == self.visited_by)):
+            raise ValueError(f"target {self.id}: progress {k} of {n} visits, visitors "
+                             f"{sorted(self.visited_by)}, visit sequence "
+                             f"{self.visit_sequence} and live={self.live} disagree")
 
 
 @dataclass

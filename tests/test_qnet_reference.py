@@ -305,24 +305,41 @@ def test_copy_shares_no_weight_or_gradient_memory(name):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_a_net_that_only_acts_holds_no_gradients(name):
-    """The gradient buffer and the backward buffers come with the first
-    backward at a batch size, so a loaded policy that only acts never
-    holds them; a later update still matches the reference."""
+def test_an_update_after_acts_matches_the_reference(name):
+    """Acts at batch 1 and 8 before the net's first update leave that
+    update matching the reference."""
     spec = SPECS[name]
     rng = np.random.default_rng(4)
     net = QNetwork.initialize(spec, rng)
     ref_net = net.copy()
     for B in (1, 8):
         net.forward_cached(rng.normal(size=(B, spec.input_dim)))
-    assert net._grad_flat is None
-    assert all(work.back is None for work in net._work.values())
     batch = random_batch(rng, spec, 8)
     _loss, grads = td_loss(net, batch, gamma=0.9)
     _ref_loss, ref_grads = ref_td_loss(ref_net, ref_net.copy(), batch, gamma=0.9)
     for g, ref_g in zip(grads, ref_grads):
         assert_same(g, ref_g)
-    assert net._work[1].back is None
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_every_net_comes_with_a_zeroed_gradient_buffer(name, tmp_path):
+    """A fresh net, a copy and a loaded net each hold zeroed gradients in
+    the layout of `spec.weight_shapes()`, in memory of their own, and an
+    SGD step before any backward leaves the weights as they were."""
+    spec = SPECS[name]
+    net = QNetwork.initialize(spec, np.random.default_rng(6))
+    qnet.save_weights(net, tmp_path / "net.qnet")
+    nets = [net, net.copy(), qnet.load_weights(tmp_path / "net.qnet")]
+    for a in nets:
+        assert [g.shape for g in a._grads] == spec.weight_shapes()
+        assert all(np.shares_memory(g, a._grad_flat) for g in a._grads)
+        assert not a._grad_flat.any()
+        for b in nets:
+            if b is not a:
+                assert not np.shares_memory(a._grad_flat, b._grad_flat)
+        kept = a._flat.tobytes()
+        a.sgd_step(0.1)
+        assert a._flat.tobytes() == kept
 
 
 def test_weights_cannot_be_rebound():

@@ -133,7 +133,7 @@ def test_sense_ranges_and_ordering():
 def test_sense_skips_dead_targets():
     arena = ArenaConfig()
     robots = [make_robot(0, (45, 45))]
-    t = Target(0, (46, 45), 1, live=False)
+    t = Target(0, (46, 45), 1, sequence_progress=1, live=False, visited_by={0})
     assert sense(robots[0], WorldState(robots, [t]), arena) == ((), ())
 
 
@@ -192,6 +192,22 @@ def consistent_targets():
                     yield Target(0, (1, 1), required, sequence_progress=progress,
                                  live=progress < required, visit_sequence=seq,
                                  visited_by=set(seq[:progress]))
+
+
+def test_a_target_must_be_consistent():
+    """Every consistent state constructs; breaking any one of the rules the
+    mission keeps after every step is refused, naming the target."""
+    assert len(list(consistent_targets())) == 191
+    for extra in (
+        dict(required_visits=2, sequence_progress=3, live=False,
+             visit_sequence=(0, 1, 2), visited_by={0, 1, 2}),  # progress past required
+        dict(required_visits=1, sequence_progress=1, live=False),  # progress without a visitor
+        dict(required_visits=2, sequence_progress=1, visit_sequence=(1,),
+             visited_by={0}),  # a visitor outside the sequence's head
+        dict(required_visits=1, live=False),  # dead with no visit
+    ):
+        with pytest.raises(ValueError, match="^target 7: "):
+            Target(7, (1, 1), **extra)
 
 
 def inline_neutralize(robot_id, t, now):
