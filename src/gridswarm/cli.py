@@ -273,6 +273,8 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
     reps = _count(cfg["sweep"]["repetitions"], "sweep.repetitions")
     if not isinstance(values, list) or not values:
         raise ValueError(f"config sweep.values must be a non-empty list, not {values!r}")
+    # each value is read by its axis before the repeat check compares them
+    run_cfgs = [_apply_axis(cfg, axis, value) for value in values]
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ValueError(f"sweep value {repeated[0]!r} is listed more than once")
@@ -280,7 +282,6 @@ def run_sweep(cfg: dict, master_seed: int, conflict_path, free_path,
         raise ValueError("repetitions must be >= 1")
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, not {jobs!r}")
-    run_cfgs = [_apply_axis(cfg, axis, value) for value in values]
     # load the policies here first, so a bad file is named before a worker
     # starts; every worker loads them again, so start no more than the runs
     _worker_init(conflict_path, free_path)

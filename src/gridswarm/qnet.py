@@ -489,22 +489,21 @@ class TrainerConfig:
 
 class ReplayBuffer:
     """Ring of the last `capacity` transitions (s, a, r, s2, terminal,
-    avail2), one preallocated numpy column per field."""
+    avail2) of `state_dim`-wide states, one numpy column per field."""
 
     FIELDS = ("s", "a", "r", "s2", "terminal", "avail2")
     DTYPES = (float, np.int64, float, float, bool, bool)
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
-        self.columns = None  # allocated at the first push, shaped by it
+        shapes = ((state_dim,), (), (), (state_dim,), (), (N_ACTIONS,))
+        # np.empty leaves the pages no transition has reached unbacked
+        self.columns = [np.empty((capacity,) + shape, dtype=dtype)
+                        for shape, dtype in zip(shapes, self.DTYPES)]
         self.size = 0
         self.pos = 0
 
     def push(self, item):
-        if self.columns is None:
-            # np.empty leaves the pages no transition has reached unbacked
-            self.columns = [np.empty((self.capacity,) + np.shape(v), dtype=dtype)
-                            for v, dtype in zip(item, self.DTYPES)]
         for column, v in zip(self.columns, item):
             column[self.pos] = v
         self.pos = (self.pos + 1) % self.capacity
@@ -673,7 +672,7 @@ def _train(net: QNetwork, config: TrainerConfig, rng, game, play):
     through `act(state, avail)` and passing `learn` every transition.
     """
     sync_target(net)
-    buffer = ReplayBuffer(REPLAY_CAPACITY)
+    buffer = ReplayBuffer(REPLAY_CAPACITY, net.spec.input_dim)
     updates = 0
 
     def learn(transition):

@@ -15,6 +15,7 @@ target whose next slot is another's (`world.waits_for`).  That channel is
 the target's `visit_sequence` and its `active_at` time, which only `world`
 writes: `commit` and `try_neutralize` take slots, and `expire` drops a
 sequence's uncommitted tail after SEQUENCE_TIMEOUT seconds without either.
+A mission runs on unvisited copies of the targets it is given.
 
 The engine records nothing: a caller reads the robots and their `ctl`
 after each `step`, as `cli.record_trajectory` does for `gridswarm run`.
@@ -110,6 +111,8 @@ class _RobotCtl:
 
 
 class Mission:
+    """One seeded mission; it runs on unvisited copies of its targets."""
+
     def __init__(self, config: MissionConfig, targets, conflict_net: QNetwork,
                  free_net: QNetwork):
         seen = set()
@@ -133,8 +136,7 @@ class Mission:
             )
             for i in range(config.n_robots)
         ]
-        # the mission's own targets: visited_by is their one mutable field
-        own = [replace(t, visited_by=set(t.visited_by)) for t in targets]
+        own = [replace(t) for t in targets]
         self.world = WorldState(robots=robots, targets=own)
         self.targets_by_id = {t.id: t for t in self.world.targets}
         self.ctl = {r.id: _RobotCtl() for r in robots}
@@ -159,7 +161,7 @@ class Mission:
         self._sweep_best = math.inf  # closest centroid approach to the anchor
         self._progress_at = 0.0  # time of last approach gain, anchor advance or visit
         # targets only die, so the live list is rebuilt only when one does
-        self.live_targets = [t for t in own if t.live]
+        self.live_targets = list(own)
         self._multi_visit = [t for t in own if t.required_visits > 1]
 
     # -- decision phase -----------------------------------------------------

@@ -63,28 +63,24 @@ class Robot:
 class Target:
     """A target that needs `required_visits` in-order robot visits to die.
 
-    Its progress counts its visitors, who lead its visit sequence when it
-    needs several visits, and it is live until every visit is made.
+    It is built unvisited, and only `commit`, `try_neutralize` and `expire`
+    move it: its progress counts its visitors, who lead its visit sequence
+    when it needs several visits, and it is live until every visit is made.
     """
 
     id: int
     position: tuple
     required_visits: int
-    sequence_progress: int = 0
-    live: bool = True
-    visit_sequence: tuple = ()
-    visited_by: set = field(default_factory=set)
+    # factories, so that __init__ sets each: all targets share one fast layout
+    sequence_progress: int = field(default_factory=int, init=False)
+    live: bool = field(default_factory=lambda: True, init=False)
+    visit_sequence: tuple = field(default_factory=tuple, init=False)
+    visited_by: set = field(default_factory=set, init=False)
     active_at: float = field(default=0.0, init=False)  # time of last slot or visit
 
     def __post_init__(self):
         if self.required_visits < 1:
             raise ValueError(f"target {self.id} needs at least one visit")
-        k, n = self.sequence_progress, self.required_visits
-        if not (k <= n and len(self.visited_by) == k and self.live == (k < n)
-                and (n == 1 or set(self.visit_sequence[:k]) == self.visited_by)):
-            raise ValueError(f"target {self.id}: progress {k} of {n} visits, visitors "
-                             f"{sorted(self.visited_by)}, visit sequence "
-                             f"{self.visit_sequence} and live={self.live} disagree")
 
 
 @dataclass

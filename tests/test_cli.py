@@ -335,6 +335,9 @@ def test_sweep_rejects_repeated_values(tmp_path, policy_files):
     ({"values": [2, 2.5]}, "config sweep.values must be an integer, not 2.5"),
     ({"values": 3}, "config sweep.values must be a non-empty list, not 3"),
     ({"values": []}, "config sweep.values must be a non-empty list, not []"),
+    # each value is read before the repeat check, which would name the second
+    ({"values": [1, True]}, "config sweep.values must be an integer, not True"),
+    ({"values": [2, 2.0]}, "config sweep.values must be an integer, not 2.0"),
 ])
 def test_sweep_counts_must_be_integers(tmp_path, policy_files, sweep, message):
     cfg = small_cfg()

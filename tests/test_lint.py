@@ -4,8 +4,10 @@ addition is not fixed by the code itself.
 The builtin `sum` adds floats with compensation since Python 3.12, so it
 gives other bits on other versions; `np.sum`, `np.mean` and `np.std` add
 pairwise from eight terms on, in an order numpy may change; `math.fsum`
-and `statistics` round differently from a left-to-right loop.  Each use
-must sit in a function on the allow-list, with the reason it is safe.
+and `statistics` round differently from a left-to-right loop.  The array
+methods `.sum()`, `.mean()`, `.std()`, `.var()` and `.cumsum()` are numpy's
+reductions too, so a call of one on any object counts.  Each use must sit
+in a function on the allow-list, with the reason it is safe.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridswarm"
 
 BANNED = {"builtins.sum", "numpy.sum", "numpy.mean", "numpy.std", "math.fsum"}
+METHODS = {"sum", "mean", "std", "var", "cumsum"}
 
 # (module, function) -> why its reductions cannot move an output
 ALLOWED = {
@@ -25,7 +28,7 @@ ALLOWED = {
 
 
 def _banned(name: str) -> bool:
-    return name in BANNED or name.startswith("statistics.")
+    return name in BANNED or name.startswith(("statistics.", "."))
 
 
 def reductions(source: str) -> list:
@@ -50,6 +53,10 @@ def reductions(source: str) -> list:
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in aliases:
             name = f"{aliases[node.value.id]}.{node.attr}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in METHODS and not (
+                    isinstance(node.func.value, ast.Name) and node.func.value.id in aliases):
+            name = f".{node.func.attr}()"  # a method, called on any object
         else:
             name = ""
         if _banned(name):
@@ -68,13 +75,15 @@ def test_lint_finds_each_spelling():
         "def f(x):\n    return sum(x), np.sum(x), math.fsum(x), st.median(x)\n"
         "class C:\n    def g(self, x):\n        return m(x), fmean(x), map(sum, x)\n"
         "total = np.std([1.0])\n"
+        "def h(x, s):\n    return x.sum(), s.a.mean(1), (x + 1).std(), x.var(), x[0].cumsum()\n"
         "def fine(x, s):\n    return np.add.reduce(x), math.dist(x, x), s.sum, len(x)\n"
     )
     assert reductions(source) == [
         ("f", 7, "builtins.sum"), ("f", 7, "numpy.sum"), ("f", 7, "math.fsum"),
         ("f", 7, "statistics.median"), ("C.g", 10, "numpy.mean"),
         ("C.g", 10, "statistics.fmean"), ("C.g", 10, "builtins.sum"),
-        ("", 11, "numpy.std"),
+        ("", 11, "numpy.std"), ("h", 13, ".sum()"), ("h", 13, ".mean()"),
+        ("h", 13, ".std()"), ("h", 13, ".var()"), ("h", 13, ".cumsum()"),
     ]
 
 

@@ -359,12 +359,21 @@ def test_a_byte_edit_of_a_shipped_policy_loads_a_policy_or_is_rejected(
 
 class TestReplayAndConfig:
     def test_replay_wraps_around(self):
-        buf = ReplayBuffer(3)
+        buf = ReplayBuffer(3, 2)
         for k in range(5):
             buf.push((np.zeros(2), k, 0.0, np.zeros(2), False, np.ones(5, bool)))
         assert len(buf) == 3
         actions = buf.sample(200, np.random.default_rng(0))["a"]
         assert set(actions.tolist()) == {2, 3, 4}
+
+    def test_replay_is_built_whole_and_refuses_another_width(self):
+        buf = ReplayBuffer(3, 2)
+        assert [c.shape for c in buf.columns] == [(3, 2), (3,), (3,), (3, 2), (3,), (3, 5)]
+        assert len(buf) == 0
+        for s, s2 in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(12))):
+            with pytest.raises(ValueError, match="could not broadcast"):
+                buf.push((s, 0, 0.0, s2, False, np.ones(5, bool)))
+        assert len(buf) == 0
 
     def test_epsilon_schedule(self):
         cfg = TrainerConfig(episodes=1000, eps_end=0.05, eps_decay_fraction=0.5)

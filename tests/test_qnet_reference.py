@@ -393,7 +393,7 @@ def test_replay_sample_matches_list_reference(name, seed, capacity, pushes, n):
     rows, dtypes and shapes, and later pushes leave it as it was."""
     dim = SPECS[name].input_dim
     rng = np.random.default_rng(seed)
-    buf, ref = ReplayBuffer(capacity), ListReplay(capacity)
+    buf, ref = ReplayBuffer(capacity, dim), ListReplay(capacity)
     draw, ref_draw = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     earlier = []
     for _ in range(pushes):

@@ -1,5 +1,5 @@
 import ast
-import dataclasses
+import copy
 import functools
 import itertools
 import math
@@ -133,7 +133,8 @@ def test_sense_ranges_and_ordering():
 def test_sense_skips_dead_targets():
     arena = ArenaConfig()
     robots = [make_robot(0, (45, 45))]
-    t = Target(0, (46, 45), 1, sequence_progress=1, live=False, visited_by={0})
+    t = Target(0, (46, 45), 1)
+    assert try_neutralize(0, t, 0.0)
     assert sense(robots[0], WorldState(robots, [t]), arena) == ((), ())
 
 
@@ -146,7 +147,8 @@ def test_neutralize_single_visit():
 
 
 def test_neutralize_sequence_order():
-    t = Target(0, (1, 1), 2, visit_sequence=(2, 5))
+    t = Target(0, (1, 1), 2)
+    assert commit(2, t, 0.0) and commit(5, t, 0.0) and t.visit_sequence == (2, 5)
     assert not try_neutralize(5, t, 1.0)  # out of order
     assert t.active_at == 0.0
     assert try_neutralize(2, t, 2.0)
@@ -169,7 +171,8 @@ def test_neutralize_multivisit_distinct_robots():
 
 
 def test_neutralize_committed_slot_binds_robot():
-    t = Target(0, (1, 1), 2, visit_sequence=(3, 4))
+    t = Target(0, (1, 1), 2)
+    assert commit(3, t, 0.0) and commit(4, t, 0.0)
     # only the committed robot for the next slot may advance the sequence
     assert not try_neutralize(4, t, 1.0)
     assert try_neutralize(3, t, 2.0)
@@ -181,33 +184,54 @@ ROBOT_IDS = range(4)
 
 
 def consistent_targets():
-    """Every consistent blackboard state with 1-3 required visits and robots 0-3."""
+    """Every blackboard state with 1-3 required visits and robots 0-3, each
+    reached from a fresh target: a sequence's robots commit in order, then
+    its first `progress` of them visit."""
     yield Target(0, (1, 1), 1)
     for rid in ROBOT_IDS:
-        yield Target(0, (1, 1), 1, sequence_progress=1, live=False, visited_by={rid})
+        t = Target(0, (1, 1), 1)
+        try_neutralize(rid, t, 0.0)
+        yield t
     for required in (2, 3):
         for n in range(required + 1):
             for seq in itertools.permutations(ROBOT_IDS, n):
                 for progress in range(n + 1):
-                    yield Target(0, (1, 1), required, sequence_progress=progress,
-                                 live=progress < required, visit_sequence=seq,
-                                 visited_by=set(seq[:progress]))
+                    t = Target(0, (1, 1), required)
+                    for rid in seq:
+                        commit(rid, t, 0.0)
+                    for rid in seq[:progress]:
+                        try_neutralize(rid, t, 0.0)
+                    yield t
 
 
 def test_a_target_must_be_consistent():
-    """Every consistent state constructs; breaking any one of the rules the
-    mission keeps after every step is refused, naming the target."""
-    assert len(list(consistent_targets())) == 191
-    for extra in (
-        dict(required_visits=2, sequence_progress=3, live=False,
-             visit_sequence=(0, 1, 2), visited_by={0, 1, 2}),  # progress past required
-        dict(required_visits=1, sequence_progress=1, live=False),  # progress without a visitor
-        dict(required_visits=2, sequence_progress=1, visit_sequence=(1,),
-             visited_by={0}),  # a visitor outside the sequence's head
-        dict(required_visits=1, live=False),  # dead with no visit
+    """A target is built unvisited and takes no visit state from its caller,
+    so every state it reaches keeps the rules the mission checks after every
+    step."""
+    fresh = Target(7, (1, 1), 2)
+    assert (fresh.sequence_progress, fresh.live, fresh.visit_sequence,
+            fresh.visited_by, fresh.active_at) == (0, True, (), set(), 0.0)
+    states = list(consistent_targets())
+    assert len(states) == 191
+    assert len({(t.required_visits, t.sequence_progress, t.visit_sequence,
+                 tuple(sorted(t.visited_by))) for t in states}) == 191
+    for t in states:
+        k, n = t.sequence_progress, t.required_visits
+        assert k <= n and len(t.visited_by) == k and t.live == (k < n)
+        assert n == 1 or set(t.visit_sequence[:k]) == t.visited_by
+        assert len(set(t.visit_sequence)) == len(t.visit_sequence) <= (n if n > 1 else 0)
+    # a sequence `commit` can never write, and every other visit-state keyword
+    for required, extra in (
+        (2, dict(visit_sequence=(1, 1))),
+        (2, dict(visit_sequence=(1, 2, 3))),
+        (1, dict(visit_sequence=(4,))),
+        (2, dict(sequence_progress=1)),
+        (1, dict(live=False)),
+        (2, dict(visited_by={0})),
+        (2, dict(active_at=1.0)),
     ):
-        with pytest.raises(ValueError, match="^target 7: "):
-            Target(7, (1, 1), **extra)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            Target(7, (1, 1), required, **extra)
 
 
 def inline_neutralize(robot_id, t, now):
@@ -247,10 +271,6 @@ def inline_waits(robot_id, t):
         and seq[t.sequence_progress] != robot_id
 
 
-def copy_target(t):
-    return dataclasses.replace(t, visited_by=set(t.visited_by))
-
-
 def test_sequence_rules_match_the_inline_rules_on_every_state():
     states = list(consistent_targets())
     assert len(states) == 191
@@ -258,7 +278,7 @@ def test_sequence_rules_match_the_inline_rules_on_every_state():
         for rule, inline, now in ((try_neutralize, inline_neutralize, (5.0,)),
                                   (commit, inline_commit, (5.0,)),
                                   (waits_for, inline_waits, ())):
-            got, want = copy_target(t), copy_target(t)
+            got, want = copy.deepcopy(t), copy.deepcopy(t)
             assert rule(rid, got, *now) == inline(rid, want, *now), (rule.__name__, t, rid)
             # dataclass equality includes `active_at`, so this pins the stamps
             assert got == want, (rule.__name__, t, rid)
